@@ -38,6 +38,11 @@ class MoveError(ValueError):
     """A Reidemeister move site that does not apply to the diagram."""
 
 
+def _is_label(e) -> bool:
+    """An int edge label; bool is an int subclass but never a label."""
+    return isinstance(e, int) and not isinstance(e, bool)
+
+
 @dataclass(frozen=True)
 class PdCode:
     """Validated PD code; labels are 1..E with every label used exactly twice."""
@@ -50,7 +55,7 @@ class PdCode:
             if len(q) != 4:
                 raise PdError(f"crossing {q!r} is not a quadruple")
             for e in q:
-                if not isinstance(e, int) or e < 1:
+                if not _is_label(e) or e < 1:
                     raise PdError(f"edge label {e!r} is not a positive integer")
                 counts[e] = counts.get(e, 0) + 1
         bad = sorted(e for e, n in counts.items() if n != 2)
@@ -95,7 +100,7 @@ def parse_pd(text: str) -> PdCode:
         raise PdError("PD code must be a non-empty list of quadruples (or the token 'unknot')")
     quads = []
     for item in raw:
-        if not isinstance(item, list) or len(item) != 4 or not all(isinstance(e, int) for e in item):
+        if not isinstance(item, list) or len(item) != 4 or not all(map(_is_label, item)):
             raise PdError(f"crossing {item!r} is not a quadruple of integers")
         quads.append(tuple(item))
     labels = sorted({e for q in quads for e in q})

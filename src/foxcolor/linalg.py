@@ -3,6 +3,15 @@ and kernel enumeration over Z/mZ.
 
 Everything here uses Python's arbitrary-precision integers; intermediate
 entries during diagonalization routinely leave machine range.
+
+The Smith form eliminates on sparse storage: rows of the matrix and of
+the row transform are {col: value} dicts, a per-column set of nonzero rows
+drives the column operations, and the column transform is kept by column.
+Coloring matrices have three nonzeros per row and almost all invariant
+factors 1, so the cost follows the fill-in rather than n^3.  The pivot
+rule and the output, s, r and c entry for entry, are those of dense
+elimination; tests/test_snf_differential.py keeps the dense code as the
+reference.
 """
 
 from __future__ import annotations
@@ -124,60 +133,113 @@ class SmithDecomposition:
 
 
 class _Worker:
-    """Mutable elimination state; rt and ct accumulate the row/column operations."""
+    """Sparse elimination state.
+
+    Rows of a and of rt (the accumulated row operations) are {col: value}
+    dicts holding nonzeros only; cols[j] is the set of rows with a nonzero
+    in column j of a.  ct (the accumulated column operations) is stored by
+    column, as {row: value} dicts.
+    """
 
     def __init__(self, m: IntegerMatrix):
         self.nr = m.rows
         self.nc = m.cols
-        self.a = [list(row) for row in m.entries]
-        self.rt = [[int(i == j) for j in range(self.nr)] for i in range(self.nr)]
-        self.ct = [[int(i == j) for j in range(self.nc)] for i in range(self.nc)]
+        self.a = [{j: v for j, v in enumerate(row) if v} for row in m.entries]
+        self.cols = [set() for _ in range(self.nc)]
+        for i, row in enumerate(self.a):
+            for j in row:
+                self.cols[j].add(i)
+        self.rt = [{i: 1} for i in range(self.nr)]
+        self.ct = [{j: 1} for j in range(self.nc)]
 
     def row_swap(self, i, j):
-        self.a[i], self.a[j] = self.a[j], self.a[i]
+        ai, aj = self.a[i], self.a[j]
+        for k in ai:
+            self.cols[k].discard(i)
+        for k in aj:
+            self.cols[k].discard(j)
+        for k in ai:
+            self.cols[k].add(j)
+        for k in aj:
+            self.cols[k].add(i)
+        self.a[i], self.a[j] = aj, ai
         self.rt[i], self.rt[j] = self.rt[j], self.rt[i]
 
     def col_swap(self, i, j):
-        for row in self.a:
-            row[i], row[j] = row[j], row[i]
-        for row in self.ct:
-            row[i], row[j] = row[j], row[i]
+        for r in self.cols[i] | self.cols[j]:
+            row = self.a[r]
+            vi, vj = row.pop(i, 0), row.pop(j, 0)
+            if vj:
+                row[i] = vj
+            if vi:
+                row[j] = vi
+        self.cols[i], self.cols[j] = self.cols[j], self.cols[i]
+        self.ct[i], self.ct[j] = self.ct[j], self.ct[i]
 
     def row_negate(self, i):
-        self.a[i] = [-x for x in self.a[i]]
-        self.rt[i] = [-x for x in self.rt[i]]
+        self.a[i] = {k: -v for k, v in self.a[i].items()}
+        self.rt[i] = {k: -v for k, v in self.rt[i].items()}
 
     def row_sub(self, i, j, q):
         """row_i -= q * row_j"""
-        self.a[i] = [x - q * y for x, y in zip(self.a[i], self.a[j])]
-        self.rt[i] = [x - q * y for x, y in zip(self.rt[i], self.rt[j])]
+        target = self.a[i]
+        for k, v in self.a[j].items():
+            self._store(target, i, k, target.get(k, 0) - q * v)
+        _axpy(self.rt[i], self.rt[j], -q)
 
     def col_sub(self, i, j, q):
         """col_i -= q * col_j"""
-        for row in self.a:
-            row[i] -= q * row[j]
-        for row in self.ct:
-            row[i] -= q * row[j]
+        for r in self.cols[j]:
+            row = self.a[r]
+            self._store(row, r, i, row.get(i, 0) - q * row[j])
+        _axpy(self.ct[i], self.ct[j], -q)
 
     def row_add(self, i, j):
         """row_i += row_j"""
-        self.a[i] = [x + y for x, y in zip(self.a[i], self.a[j])]
-        self.rt[i] = [x + y for x, y in zip(self.rt[i], self.rt[j])]
+        self.row_sub(i, j, -1)
+
+    def _store(self, row, i, k, x):
+        """Set a[i][k] = x, where row is a[i], keeping cols in step."""
+        if x:
+            row[k] = x
+            self.cols[k].add(i)
+        elif k in row:
+            del row[k]
+            self.cols[k].discard(i)
 
 
-def _find_pivot(a, s, nr, nc):
-    """Smallest nonzero absolute value in the block [s:, s:], ties by lowest (row, col)."""
+def _axpy(target, source, q):
+    """target += q * source, on {index: value} dicts without zeros."""
+    for k, v in source.items():
+        x = target.get(k, 0) + q * v
+        if x:
+            target[k] = x
+        else:
+            del target[k]
+
+
+def _dense(entries, n):
+    row = [0] * n
+    for k, v in entries.items():
+        row[k] = v
+    return tuple(row)
+
+
+def _find_pivot(a, s):
+    """Smallest nonzero absolute value in rows s.., ties by lowest (row, col).
+
+    Rows from s on have entries only in columns s.., so this is the block
+    [s:, s:]; the scan stops after the first row holding a unit.
+    """
     best = None
-    best_val = None
-    for i in range(s, nr):
-        row = a[i]
-        for j in range(s, nc):
-            v = abs(row[j])
-            if v and (best_val is None or v < best_val):
-                best, best_val = (i, j), v
-                if v == 1:
-                    return best
-    return best
+    for i in range(s, len(a)):
+        for j, v in a[i].items():
+            key = (abs(v), i, j)
+            if best is None or key < best:
+                best = key
+        if best is not None and best[0] == 1:
+            break
+    return None if best is None else best[1:]
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
@@ -186,13 +248,18 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     The result is deterministic for a given input: pivots are chosen by
     smallest nonzero absolute value with (row, col) tie-breaking, diagonal
     entries come out non-negative and each divides the next.
+
+    Storage is sparse and s, r, c are made dense once at the end, with the
+    same pivots and output as dense elimination under this rule.  The cost
+    follows the fill-in of the matrix and its transforms rather than n^3,
+    and a unit pivot skips the divisibility check.
     """
     w = _Worker(m)
     nr, nc = w.nr, w.nc
     lim = min(nr, nc)
     s = 0
     while s < lim:
-        piv = _find_pivot(w.a, s, nr, nc)
+        piv = _find_pivot(w.a, s)
         if piv is None:
             break
         i, j = piv
@@ -209,48 +276,55 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
                 break
             w.row_add(s, bad)  # drags the offending row into row s; redo elimination
         s += 1
-    smat = IntegerMatrix.from_rows([tuple(row) for row in w.a], cols=nc) if nr else IntegerMatrix(0, nc, ())
-    rmat = IntegerMatrix.from_rows([tuple(row) for row in w.rt], cols=nr) if nr else IntegerMatrix(0, 0, ())
-    cmat = IntegerMatrix.from_rows([tuple(row) for row in w.ct], cols=nc) if nc else IntegerMatrix(0, 0, ())
-    factors = tuple(w.a[i][i] for i in range(lim))
+    smat = IntegerMatrix(nr, nc, tuple(_dense(row, nc) for row in w.a))
+    rmat = IntegerMatrix(nr, nr, tuple(_dense(row, nr) for row in w.rt))
+    cmat = IntegerMatrix(nc, nc, tuple(zip(*(_dense(col, nc) for col in w.ct))))
+    factors = tuple(w.a[i].get(i, 0) for i in range(lim))
     return SmithDecomposition(smat, rmat, cmat, factors)
 
 
 def _eliminate(w: _Worker, s: int):
-    """Clear row s and column s beyond the pivot, keeping the pivot positive."""
+    """Clear row s and column s beyond the pivot, keeping the pivot positive.
+
+    Rows above s hold only their diagonal entry, so column s has entries in
+    rows s.. only and row s in columns s.. only.
+    """
+    a = w.a
     while True:
         # clear the column; floor division leaves remainders in [0, pivot)
-        for i in range(s + 1, w.nr):
-            if w.a[i][s]:
-                q = w.a[i][s] // w.a[s][s]
-                if q:
-                    w.row_sub(i, s, q)
-        resid = [i for i in range(s + 1, w.nr) if w.a[i][s]]
+        p = a[s][s]
+        for i in [i for i in w.cols[s] if i != s]:
+            q = a[i][s] // p
+            if q:
+                w.row_sub(i, s, q)
+        resid = [i for i in w.cols[s] if i != s]
         if resid:
-            i = min(resid, key=lambda t: (w.a[t][s], t))
+            i = min(resid, key=lambda t: (a[t][s], t))
             w.row_swap(s, i)  # strictly smaller pivot; loop again
             continue
-        for j in range(s + 1, w.nc):
-            if w.a[s][j]:
-                q = w.a[s][j] // w.a[s][s]
-                if q:
-                    w.col_sub(j, s, q)
-        resid = [j for j in range(s + 1, w.nc) if w.a[s][j]]
+        for j in [j for j in a[s] if j != s]:
+            q = a[s][j] // p
+            if q:
+                w.col_sub(j, s, q)
+        resid = [j for j in a[s] if j != s]
         if resid:
-            j = min(resid, key=lambda t: (w.a[s][t], t))
+            j = min(resid, key=lambda t: (a[s][t], t))
             w.col_swap(s, j)
             continue
         return
 
 
 def _nondivisible(w: _Worker, s: int):
-    """Row index of some entry in the trailing block not divisible by the pivot."""
+    """Row index of some entry in the trailing block not divisible by the pivot.
+
+    Every integer is divisible by a unit pivot, so that case scans nothing.
+    """
     p = w.a[s][s]
+    if p == 1:
+        return None
     for i in range(s + 1, w.nr):
-        row = w.a[i]
-        for j in range(s + 1, w.nc):
-            if row[j] % p:
-                return i
+        if any(v % p for v in w.a[i].values()):
+            return i
     return None
 
 

@@ -38,6 +38,12 @@ class TestAnalyze:
         for label in ("2", "3", "5", "6"):
             assert label in err
 
+    def test_bool_label_exit_1(self, capsys):
+        code, _, err = run(capsys, "analyze", "[[true,2,2,1]]")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_unknown_name_exit_1(self, capsys):
         code, _, err = run(capsys, "analyze", "8_19")
         assert code == 1

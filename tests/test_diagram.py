@@ -47,6 +47,8 @@ class TestParse:
             parse_pd("[[1,4,2],[3,6,4,1]]")
         with pytest.raises(PdError):
             parse_pd("hello")
+        with pytest.raises(PdError):
+            parse_pd("[[true,2,2,1]]")
 
     def test_empty_list_rejected(self):
         with pytest.raises(PdError):
@@ -59,6 +61,10 @@ class TestParse:
     def test_triple_occurrence_rejected(self):
         with pytest.raises(PdError):
             PdCode(((1, 1, 1, 2), (2, 3, 3, 4), (4, 5, 5, 6)))
+
+    def test_bool_label_rejected(self):
+        with pytest.raises(PdError):
+            PdCode(((True, 2, 2, True),))
 
     def test_str_roundtrip(self):
         pd = parse_pd(TREFOIL)
