@@ -116,8 +116,8 @@ def _arc_header(d: dia.PlanarDiagram) -> str:
 
 def cmd_classes(args) -> int:
     label, d = _resolve_target(args.target)
-    nontrivial = col.enumerate_colorings(d, args.mod, nontrivial_only=True, budget=args.budget)
     group = orb.build_group(args.group, args.mod)
+    nontrivial = col.enumerate_colorings(d, args.mod, nontrivial_only=True, budget=args.budget)
     part = orb.orbit_partition(nontrivial, group)
     payload = {
         "target": label,
@@ -171,6 +171,10 @@ def cmd_verify(args) -> int:
         primes = [int(p) for p in args.primes.split(",") if p.strip()]
     except ValueError:
         return _fail(f"bad --primes list {args.primes!r}", EXIT_INPUT)
+    if not primes:
+        return _fail("--primes names no prime", EXIT_INPUT)
+    if args.moves < 0:
+        return _fail("--moves must be at least 0", EXIT_INPUT)
     for p in primes:
         if not col.is_odd_prime(p):
             return _fail(f"{p} is not an odd prime", EXIT_INPUT)

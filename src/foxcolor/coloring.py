@@ -169,7 +169,9 @@ def enumerate_colorings(d: PlanarDiagram, m: int, nontrivial_only: bool = False,
     """All m-colorings of the diagram in a deterministic order.
 
     The order is lexicographic in the kernel coordinates of the Smith
-    form, so repeated runs (and parallel chunked runs) agree.
+    form, so repeated runs (and parallel chunked runs) agree.  With
+    nontrivial_only, constant colorings are dropped as the walk yields
+    them.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
@@ -181,11 +183,10 @@ def enumerate_colorings(d: PlanarDiagram, m: int, nontrivial_only: bool = False,
     total = count_colorings(sd, m)
     if total > budget:
         raise EnumerationBudgetError(f"{total} colorings exceed budget {budget}")
-    kernel = solve_mod(sd, m)
-    out = [Coloring(m, x) for x in kernel.vectors()]
+    vectors = solve_mod(sd, m).vectors()
     if nontrivial_only:
-        out = [c for c in out if not c.is_trivial]
-    return out
+        vectors = (x for x in vectors if len(set(x)) > 1)
+    return [Coloring(m, x) for x in vectors]
 
 
 def brute_force_colorings(d: PlanarDiagram, m: int,

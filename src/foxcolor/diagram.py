@@ -63,6 +63,10 @@ class PdCode:
             raise PdError(f"edge labels must occur exactly twice, offending labels: {bad}")
         if counts and sorted(counts) != list(range(1, len(counts) + 1)):
             raise PdError("edge labels must form 1..E with no gaps")
+        genus = _genus(self.crossings)
+        if genus:
+            raise PdError(f"no planar diagram has this PD code: it needs a surface "
+                          f"of genus {genus}")
 
     @property
     def n_crossings(self) -> int:
@@ -82,6 +86,71 @@ class PdCode:
         if not self.crossings:
             return UNKNOT_TOKEN
         return "[" + ",".join("[" + ",".join(map(str, q)) + "]" for q in self.crossings) + "]"
+
+
+def _mates(crossings) -> list[int]:
+    """Slot 4c + i is position i of crossing c; mate[s] is the slot at the
+    other end of the edge in slot s."""
+    mate = [0] * (4 * len(crossings))
+    open_end: dict[int, int] = {}
+    for s, e in enumerate(e for q in crossings for e in q):
+        t = open_end.pop(e, None)
+        if t is None:
+            open_end[e] = s
+        else:
+            mate[s], mate[t] = t, s
+    return mate
+
+
+def _faces(mate: list[int]) -> list[list[int]]:
+    """Faces of the diagram, each as the cycle of slots its walk leaves by.
+
+    Slots are listed counterclockwise at each crossing, so walking the
+    edge at slot s to its other end mate[s] and leaving again by the next
+    slot of that crossing keeps one face on the right; the faces are the
+    cycles of that permutation of slots.  Faces come in order of their
+    least slot, each starting there.
+    """
+    step = [t + 1 if t % 4 != 3 else t - 3 for t in mate]
+    seen = [False] * len(mate)
+    faces = []
+    for start in range(len(mate)):
+        if seen[start]:
+            continue
+        face = []
+        s = start
+        while not seen[s]:
+            seen[s] = True
+            face.append(s)
+            s = step[s]
+        faces.append(face)
+    return faces
+
+
+def _genus(crossings) -> int:
+    """Total genus of the surfaces the PD code's crossing graph embeds in.
+
+    Each connected component has V - E + F = 2 - 2g with E = 2V, so the
+    genera sum to (2k - F + V) / 2 over k components, and the code is
+    planar exactly when that sum is 0.
+    """
+    mate = _mates(crossings)
+    neighbor = [t // 4 for t in mate]
+    reached = [False] * len(crossings)
+    components = 0
+    for root in range(len(crossings)):
+        if reached[root]:
+            continue
+        components += 1
+        reached[root] = True
+        stack = [root]
+        while stack:
+            c = stack.pop()
+            for n in neighbor[4 * c:4 * c + 4]:
+                if not reached[n]:
+                    reached[n] = True
+                    stack.append(n)
+    return (2 * components - len(_faces(mate)) + len(crossings)) // 2
 
 
 def parse_pd(text: str) -> PdCode:
@@ -174,7 +243,7 @@ class MoveSite:
     edges       the edge labels the move anchors to:
                   R1_insert: (edge,), kink added on that edge
                   R1_delete: (loop_edge,)
-                  R2_insert: (over_edge, under_edge)
+                  R2_insert: (over_edge, under_edge), two edges of one face
                   R2_delete: (over_middle_edge,)
                   R3:        (middle_edge,)  -- the edge crossing two others on the same side
     over        for R1_insert, whether the strand passes over itself at the kink
@@ -255,6 +324,14 @@ def _r1_delete(d: PlanarDiagram, site: MoveSite):
 
 
 def _r2_insert(d: PlanarDiagram, site: MoveSite):
+    """Push a finger of strand x over strand y inside a face both border.
+
+    Draw the face with y along its top running east and x along its
+    bottom running west, the directions in which the face tracing walks
+    them.  The finger leaves x upward, crosses over y at an east
+    crossing, runs west above y as edge `top` and crosses back down at a
+    west crossing.  x and y keep their labels on their east pieces.
+    """
     if len(site.edges) != 2:
         raise MoveError("R2_insert needs (over_edge, under_edge)")
     x, y = site.edges
@@ -263,15 +340,21 @@ def _r2_insert(d: PlanarDiagram, site: MoveSite):
     _require_edge(d, x)
     _require_edge(d, y)
     quads = [list(q) for q in d.pd.crossings]
+    mate = _mates(d.pd.crossings)
+    for face in _faces(mate):
+        labels = [quads[s // 4][s % 4] for s in face]
+        if x in labels and y in labels:
+            x_west_end = divmod(mate[face[labels.index(x)]], 4)
+            y_west_end = divmod(face[labels.index(y)], 4)
+            break
+    else:
+        raise MoveError(f"edges {x} and {y} share no face, so no R2 move joins them")
     n = d.pd.n_edges
-    u, v, w, z = n + 1, n + 2, n + 3, n + 4
-    xi, xslot = _occurrences(quads, x)[1]
-    quads[xi][xslot] = v
-    yi, yslot = _occurrences(quads, y)[1]
-    quads[yi][yslot] = z
-    # strand x passes over strand y twice; u and w are the middle segments
-    quads.append([y, x, w, u])
-    quads.append([w, u, z, v])
+    top, x_west, y_mid, y_west = n + 1, n + 2, n + 3, n + 4
+    quads[x_west_end[0]][x_west_end[1]] = x_west
+    quads[y_west_end[0]][y_west_end[1]] = y_west
+    quads.append([y_west, x_west, y_mid, top])
+    quads.append([y_mid, x, y, top])
     return [tuple(q) for q in quads]
 
 
@@ -372,6 +455,9 @@ def _r3(d: PlanarDiagram, site: MoveSite):
         raise MoveError(f"edge {t} does not cross two strands on the same side")
     other_side = "under" if t_side == "over" else "over"
 
+    # the three strands must bound a face, or the slide crosses other strands
+    triangles = {frozenset(quads[s // 4][s % 4] for s in f)
+                 for f in _faces(_mates(quads)) if len(f) == 3}
     x_pair = _pair_slots(quads[xi], other_side)
     y_pair = _pair_slots(quads[yi], other_side)
     for a in x_pair:
@@ -381,11 +467,12 @@ def _r3(d: PlanarDiagram, site: MoveSite):
                     continue
                 zu = _pair_slots(zq, "under")
                 zo = _pair_slots(zq, "over")
-                if (a in zu and b in zo) or (a in zo and b in zu):
+                crossed = (a in zu and b in zo) or (a in zo and b in zu)
+                if crossed and frozenset((t, a, b)) in triangles:
                     out = _r3_rewrite(quads, xi, yi, zi, t, t_side, a, b)
                     if out is not None:
                         return out
-    raise MoveError(f"no completing crossing for an R3 move at edge {t}")
+    raise MoveError(f"no triangular face completes an R3 move at edge {t}")
 
 
 def _r3_rewrite(quads, xi, yi, zi, t, t_side, a_near, b_near):
@@ -459,13 +546,15 @@ def _renumber(quads):
 
 
 def random_move_site(d: PlanarDiagram, rng: random.Random) -> MoveSite:
-    """A random R1 or R2 insertion site; insertions apply to any diagram."""
+    """A random R1 insertion site, or an R2 insertion site on two edges of a random face."""
     edges = list(d.pd.edges())
     if len(edges) < 2:
         return MoveSite(R1_INSERT, (1,), over=rng.random() < 0.5)
     if rng.random() < 0.5:
         return MoveSite(R1_INSERT, (rng.choice(edges),), over=rng.random() < 0.5)
-    x, y = rng.sample(edges, 2)
+    quads = d.pd.crossings
+    faces = [sorted({quads[s // 4][s % 4] for s in f}) for f in _faces(_mates(quads))]
+    x, y = rng.sample(rng.choice([f for f in faces if len(f) > 1]), 2)
     return MoveSite(R2_INSERT, (x, y))
 
 

@@ -377,11 +377,35 @@ class ModularKernel:
         return tuple(tuple(range(0, self.modulus, step)) for step in self.steps)
 
     def vectors(self):
-        """Yield solution vectors x in lexicographic order of the free vector y."""
+        """Yield solution vectors x in lexicographic order of the free vector y.
+
+        The order is that of itertools.product over y_sets().  Coordinates
+        of size 1 stay at y_j = 0; the others turn like an odometer, the
+        last one fastest.  A tick of coordinate j adds column j of the
+        transform, times steps[j], to x mod m.  A coordinate wraps after
+        sizes[j] ticks, and sizes[j] * steps[j] = m, so the tick that wraps
+        it also returns x to where that coordinate started.  Each vector
+        costs O(rows) amortized, not the O(rows * cols) of forming c @ y.
+        """
         m = self.modulus
-        cols = self.transform.entries
-        for y in itertools.product(*self.y_sets()):
-            yield tuple(sum(row[j] * y[j] for j in range(len(y))) % m for row in cols)
+        rows = self.transform.entries
+        free = [j for j, size in enumerate(self.sizes) if size > 1]
+        ticks = [tuple(row[j] * self.steps[j] % m for row in rows) for j in free]
+        limits = [self.sizes[j] for j in free]
+        digits = [0] * len(free)
+        x = (0,) * len(rows)
+        while True:
+            yield x
+            pos = len(free) - 1
+            while pos >= 0:
+                x = tuple([(a + b) % m for a, b in zip(x, ticks[pos])])
+                digits[pos] += 1
+                if digits[pos] < limits[pos]:
+                    break
+                digits[pos] = 0
+                pos -= 1
+            else:
+                return
 
 
 def solve_mod(sd: SmithDecomposition, modulus: int) -> ModularKernel:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
 
 from .coloring import (Coloring, ENUMERATION_BUDGET, enumerate_colorings,
                        is_odd_prime, profile)
@@ -124,7 +125,6 @@ def apply_permutation_unchecked(d: PlanarDiagram, perm, c: Coloring):
 class Orbit:
     representative: Coloring
     size: int
-    member_count_check: int
 
 
 @dataclass(frozen=True)
@@ -142,27 +142,36 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
     """Partition colorings into orbits under the group action.
 
     Expects the full set of non-trivial colorings for one diagram and
-    modulus; a set not closed under the action means an upstream bug and
-    raises.  Representatives are the lexicographically least members and
-    orbits are listed in representative order.
+    modulus; duplicates, or a set not closed under the action, mean an
+    upstream bug and raise.  Representatives are the lexicographically
+    least members and orbits are listed in representative order.
+
+    Each group element becomes a permutation table once.  The colorings
+    are scanned in sorted order, and the first one not yet seen is the
+    least of its orbit, since a smaller member would have been reached
+    first and marked its whole orbit seen.  Only that representative is
+    mapped, by one table lookup per arc and element, so the cost after
+    the sort is O(|G| * arcs) per orbit: linear in the number of
+    colorings when the action is free.
     """
     colorings = list(colorings)
     for c in colorings:
         if c.modulus != group.modulus:
             raise ValueError("coloring modulus differs from group modulus")
-    pool = set(colorings)
+    pool = {c.values for c in colorings}
     if len(pool) != len(colorings):
         raise ValueError("duplicate colorings in input")
+    tables = [g.as_permutation() for g in group.elements]
     orbits = []
-    seen: set[Coloring] = set()
-    for c in sorted(colorings):
-        if c in seen:
+    seen: set[tuple[int, ...]] = set()
+    for c in sorted(colorings, key=attrgetter("values")):
+        if c.values in seen:
             continue
-        orbit = {apply_map(g, c) for g in group.elements}
+        orbit = {tuple(map(t.__getitem__, c.values)) for t in tables}
         if not orbit <= pool:
             raise ValueError("input is not closed under the group action")
         seen |= orbit
-        orbits.append(Orbit(min(orbit), len(orbit), sum(1 for x in colorings if x in orbit)))
+        orbits.append(Orbit(c, len(orbit)))
     return OrbitPartition(group.modulus, group.kind, tuple(orbits), len(orbits))
 
 

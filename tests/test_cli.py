@@ -44,6 +44,13 @@ class TestAnalyze:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_nonplanar_pd_exit_1(self, capsys):
+        code, out, err = run(capsys, "analyze", "[[1,2,1,2]]")
+        assert code == 1
+        assert out == ""
+        assert "planar" in err
+        assert "Traceback" not in err
+
     def test_unknown_name_exit_1(self, capsys):
         code, _, err = run(capsys, "analyze", "8_19")
         assert code == 1
@@ -100,6 +107,12 @@ class TestClasses:
         assert code == 2
         assert "budget" in err
 
+    def test_bad_modulus_before_budget(self, capsys):
+        # m = 2 has no group; that input error wins over the enumeration budget
+        code, _, err = run(capsys, "classes", "9_40", "--mod", "2", "--budget", "1")
+        assert code == 1
+        assert "modulus" in err
+
 
 class TestEnumerate:
     def test_nontrivial(self, capsys):
@@ -138,6 +151,18 @@ class TestVerify:
         assert code == 1
         assert "odd prime" in err
 
+    def test_empty_primes_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify", "3_1", "--primes", "")
+        assert code == 1
+        assert out == ""
+        assert "--primes" in err
+
+    def test_negative_moves_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify", "3_1", "--primes", "3", "--moves", "-2")
+        assert code == 1
+        assert out == ""
+        assert "--moves" in err
+
     def test_seeded_output_stable(self, capsys):
         _, out1, _ = run(capsys, "verify", "4_1", "--primes", "5", "--seed", "9")
         _, out2, _ = run(capsys, "verify", "4_1", "--primes", "5", "--seed", "9")
@@ -174,7 +199,7 @@ class TestCatalogVerb:
 class TestMoves:
     def test_sites_applied(self, capsys):
         code, out, _ = run(capsys, "moves", "3_1", "--site", "R1_insert:1",
-                           "--site", "R2_insert:2:5")
+                           "--site", "R2_insert:2:3")
         assert code == 0
         assert "crossings: 6" in out
 

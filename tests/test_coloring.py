@@ -9,7 +9,7 @@ from foxcolor.coloring import (Coloring, EnumerationBudgetError,
                                enumerate_colorings, extend_coloring,
                                generating_arcs, is_odd_prime, link_determinant,
                                p_nullity, profile)
-from foxcolor.diagram import (MoveSite, apply_move, build_diagram, catalog,
+from foxcolor.diagram import (MoveError, MoveSite, apply_move, build_diagram, catalog,
                               catalog_names, parse_pd)
 from foxcolor.linalg import IntegerMatrix, smith_normal_form
 
@@ -62,7 +62,7 @@ class TestColoringMatrix:
     def test_more_arcs_than_crossings(self):
         # a component that never passes under keeps its edges in one arc,
         # leaving a non-square matrix; unconstrained columns act like zeros
-        d = build_diagram(parse_pd("[[1,3,2,4],[2,4,1,3]]"))
+        d = build_diagram(parse_pd("[[1,3,2,4],[2,3,1,4]]"))
         assert (d.n_crossings, d.n_arcs) == (2, 3)
         sd = smith_normal_form(coloring_matrix(d).matrix)
         assert sd.invariant_factors == (1, 0)
@@ -269,6 +269,16 @@ class TestPrimePowerCounts:
                     assert len(enumerate_colorings(d, p)) == p ** n
 
 
+def r2_from_edge_1(d):
+    """R2 insertion of edge 1 over the lowest edge that shares a face with it."""
+    for e in d.pd.edges():
+        try:
+            return apply_move(d, MoveSite("R2_insert", (1, e)))
+        except MoveError:
+            continue
+    raise AssertionError("edge 1 shares no face with another edge")
+
+
 class TestMoveInvariance:
     def test_counts_stable_under_moves(self):
         for name in catalog_names():
@@ -276,7 +286,7 @@ class TestMoveInvariance:
             base = profile(d)
             variants = [apply_move(d, MoveSite("R1_insert", (1,)))]
             if d.n_crossings:
-                variants.append(apply_move(d, MoveSite("R2_insert", (1, 2))))
+                variants.append(r2_from_edge_1(d))
                 variants.append(apply_move(variants[0], MoveSite("R1_insert", (3,), over=True)))
             for v in variants:
                 vp = profile(v)

@@ -1,8 +1,11 @@
+import itertools
+import random
+
 import pytest
 
-from foxcolor.diagram import (MoveError, MoveSite, PdCode, PdError, apply_move,
-                              build_diagram, catalog, catalog_names, parse_pd,
-                              random_variants)
+from foxcolor.diagram import (MOVE_KINDS, MoveError, MoveSite, PdCode, PdError,
+                              R2_INSERT, apply_move, build_diagram, catalog,
+                              catalog_names, parse_pd, random_variants)
 from foxcolor.coloring import profile
 
 TREFOIL = "[[1,4,2,5],[3,6,4,1],[5,2,6,3]]"
@@ -65,6 +68,25 @@ class TestParse:
     def test_bool_label_rejected(self):
         with pytest.raises(PdError):
             PdCode(((True, 2, 2, True),))
+
+    def test_nonplanar_rejected(self):
+        # one crossing, two edges, one face: V - E + F = 0, a torus
+        with pytest.raises(PdError, match="planar"):
+            parse_pd("[[1,2,1,2]]")
+        # a planar trefoil beside that torus diagram: chi sums to 2, not 4
+        with pytest.raises(PdError, match="planar"):
+            parse_pd("[[1,4,2,5],[3,6,4,1],[5,2,6,3],[7,8,7,8]]")
+
+    def test_split_planar_diagram_accepted(self):
+        # chi = 2 for each of the two components
+        pd = parse_pd("[[1,4,2,5],[3,6,4,1],[5,2,6,3],[7,8,8,7]]")
+        assert pd.n_crossings == 4
+
+    def test_catalog_and_variants_parse(self):
+        for name in catalog_names():
+            d = build_diagram(catalog(name))
+            for v in [d] + random_variants(d, 4, 4, seed=29):
+                assert parse_pd(str(v.pd)) == v.pd
 
     def test_str_roundtrip(self):
         pd = parse_pd(TREFOIL)
@@ -203,6 +225,11 @@ class TestR2:
         assert restored
         assert any(back.pd == tre.pd for back in restored)
 
+    def test_insert_needs_common_face(self):
+        tre = build_diagram(catalog("3_1"))
+        with pytest.raises(MoveError, match="share no face"):
+            apply_move(tre, MoveSite("R2_insert", (1, 2)))
+
     def test_insert_needs_distinct_edges(self):
         tre = build_diagram(catalog("3_1"))
         with pytest.raises(MoveError):
@@ -255,10 +282,38 @@ class TestMoveHygiene:
 
     def test_labels_stay_normalized(self):
         d = build_diagram(catalog("4_1"))
-        for site in (MoveSite("R1_insert", (3,)), MoveSite("R2_insert", (2, 6))):
+        for site in (MoveSite("R1_insert", (3,)), MoveSite("R2_insert", (2, 7))):
             moved = apply_move(d, site)
             labels = sorted({e for q in moved.pd.crossings for e in q})
             assert labels == list(range(1, moved.pd.n_edges + 1))
+
+    def test_seeded_moves_stay_planar_and_keep_counts(self):
+        # per step, a random kind among those with an applicable site, then a
+        # random such site; a non-planar result would fail PdCode validation
+        rng = random.Random(5)
+        applied = dict.fromkeys(MOVE_KINDS, 0)
+        for name in catalog_names():
+            d = build_diagram(catalog(name))
+            counts = [profile(d).count(m) for m in range(2, 12)]
+            for _ in range(6):
+                edges = list(d.pd.edges())
+                sites = [MoveSite(R2_INSERT, pair) for pair in itertools.permutations(edges, 2)]
+                sites += [MoveSite(kind, (e,), over=over)
+                          for kind in MOVE_KINDS if kind != R2_INSERT
+                          for e in edges or [1] for over in (False, True)]
+                moved = {}
+                for site in sites:
+                    try:
+                        result = apply_move(d, site)
+                    except MoveError:
+                        continue
+                    moved.setdefault(site.kind, []).append(result)
+                kind = rng.choice(sorted(moved))
+                d = rng.choice(moved[kind])
+                applied[kind] += 1
+                assert parse_pd(str(d.pd)) == d.pd
+                assert [profile(d).count(m) for m in range(2, 12)] == counts, (name, kind)
+        assert all(applied.values()), applied
 
     def test_random_variants_deterministic(self):
         d = build_diagram(catalog("5_2"))
