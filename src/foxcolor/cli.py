@@ -116,6 +116,8 @@ def _arc_header(d: dia.PlanarDiagram) -> str:
 
 def cmd_classes(args) -> int:
     label, d = _resolve_target(args.target)
+    if args.budget < 0:
+        return _fail("--budget must be at least 0", EXIT_INPUT)
     group = orb.build_group(args.group, args.mod)
     nontrivial = col.enumerate_colorings(d, args.mod, nontrivial_only=True, budget=args.budget)
     part = orb.orbit_partition(nontrivial, group)
@@ -145,6 +147,8 @@ def cmd_classes(args) -> int:
 
 def cmd_enumerate(args) -> int:
     label, d = _resolve_target(args.target)
+    if args.budget < 0:
+        return _fail("--budget must be at least 0", EXIT_INPUT)
     colorings = col.enumerate_colorings(d, args.mod, nontrivial_only=not args.all,
                                         budget=args.budget)
     payload = {
@@ -175,12 +179,10 @@ def cmd_verify(args) -> int:
         return _fail("--primes names no prime", EXIT_INPUT)
     if args.moves < 0:
         return _fail("--moves must be at least 0", EXIT_INPUT)
-    for p in primes:
-        if not col.is_odd_prime(p):
-            return _fail(f"{p} is not an odd prime", EXIT_INPUT)
-    reports = [orb.verify_counts(d, p, label=label, variants=args.moves,
-                                 seed=args.seed, budget=args.budget)
-               for p in primes]
+    if args.budget < 0:
+        return _fail("--budget must be at least 0", EXIT_INPUT)
+    reports = orb.verify_counts(d, primes, label=label, variants=args.moves,
+                                seed=args.seed, budget=args.budget)
     if args.json:
         _emit_json({"target": label, "reports": [r.to_json_dict() for r in reports]})
     else:
@@ -213,6 +215,8 @@ def cmd_catalog(args) -> int:
 
 def cmd_moves(args) -> int:
     label, d = _resolve_target(args.target)
+    if args.random < 0:
+        return _fail("--random must be at least 0", EXIT_INPUT)
     applied = []
     for spec in args.site or []:
         site = _parse_site(spec)

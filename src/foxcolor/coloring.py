@@ -22,6 +22,9 @@ ENUMERATION_BUDGET = 10 ** 6
 BRUTE_FORCE_BUDGET = 10 ** 7
 BRUTE_COUNT_BUDGET = 10 ** 8
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
 
 class EnumerationBudgetError(RuntimeError):
     """The requested enumeration exceeds the configured budget."""
@@ -33,10 +36,6 @@ class ColoringMatrix:
 
     matrix: IntegerMatrix
     arcs: tuple[frozenset[int], ...]
-
-    @property
-    def arc_index(self) -> dict[frozenset, int]:
-        return {arc: i for i, arc in enumerate(self.arcs)}
 
 
 @dataclass(frozen=True, order=True)
@@ -86,6 +85,29 @@ class ColoringProfile:
             return m
         return count_colorings(self.smith, m)
 
+    def colorings(self, m: int, nontrivial_only: bool = False,
+                  budget: int = ENUMERATION_BUDGET) -> list[Coloring]:
+        """All m-colorings in a deterministic order.
+
+        The order is lexicographic in the kernel coordinates of the Smith
+        form, so repeated runs (and parallel chunked runs) agree.  With
+        nontrivial_only, constant colorings are dropped as the walk yields
+        them.
+        """
+        if m < 2:
+            raise ValueError("modulus must be at least 2")
+        if self.smith is None:
+            if nontrivial_only:
+                return []
+            return [Coloring(m, (v,)) for v in range(m)]
+        total = count_colorings(self.smith, m)
+        if total > budget:
+            raise EnumerationBudgetError(f"{total} colorings exceed budget {budget}")
+        vectors = solve_mod(self.smith, m).vectors()
+        if nontrivial_only:
+            vectors = (x for x in vectors if len(set(x)) > 1)
+        return [Coloring(m, x) for x in vectors]
+
 
 def coloring_matrix(d: PlanarDiagram) -> ColoringMatrix:
     """Coloring matrix of a diagram with at least one crossing.
@@ -132,13 +154,38 @@ def link_determinant(sd: SmithDecomposition) -> int:
 
 
 def is_odd_prime(p: int) -> bool:
+    """Whether p is an odd prime, decided exactly in time polynomial in its digits.
+
+    Trial division by the primes up to 41 decides every p with such a
+    factor and every p below 43^2.  Otherwise Miller-Rabin runs with
+    those 13 primes as bases, which is proven deterministic below
+    MILLER_RABIN_BOUND (Sorenson and Webster, 2015); beyond it no answer
+    is given and ValueError is raised.
+    """
     if p < 3 or p % 2 == 0:
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in _SMALL_PRIMES:
+        if p % q == 0:
+            return p == q
+    if p < 43 * 43:
+        return True
+    if p >= MILLER_RABIN_BOUND:
+        raise ValueError(f"cannot decide whether {p} is prime: odd moduli without a "
+                         f"factor up to 41 must be below {MILLER_RABIN_BOUND}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -166,27 +213,8 @@ def count_colorings(sd: SmithDecomposition, m: int) -> int:
 
 def enumerate_colorings(d: PlanarDiagram, m: int, nontrivial_only: bool = False,
                         budget: int = ENUMERATION_BUDGET) -> list[Coloring]:
-    """All m-colorings of the diagram in a deterministic order.
-
-    The order is lexicographic in the kernel coordinates of the Smith
-    form, so repeated runs (and parallel chunked runs) agree.  With
-    nontrivial_only, constant colorings are dropped as the walk yields
-    them.
-    """
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    if d.n_crossings == 0:
-        if nontrivial_only:
-            return []
-        return [Coloring(m, (v,)) for v in range(m)]
-    sd = smith_normal_form(coloring_matrix(d).matrix)
-    total = count_colorings(sd, m)
-    if total > budget:
-        raise EnumerationBudgetError(f"{total} colorings exceed budget {budget}")
-    vectors = solve_mod(sd, m).vectors()
-    if nontrivial_only:
-        vectors = (x for x in vectors if len(set(x)) > 1)
-    return [Coloring(m, x) for x in vectors]
+    """All m-colorings of the diagram; see ColoringProfile.colorings."""
+    return profile(d).colorings(m, nontrivial_only, budget)
 
 
 def brute_force_colorings(d: PlanarDiagram, m: int,

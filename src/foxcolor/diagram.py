@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 UNKNOT_TOKEN = "unknot"
@@ -50,17 +50,13 @@ class PdCode:
     crossings: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self):
-        counts: dict[int, int] = {}
         for q in self.crossings:
             if len(q) != 4:
                 raise PdError(f"crossing {q!r} is not a quadruple")
             for e in q:
                 if not _is_label(e) or e < 1:
                     raise PdError(f"edge label {e!r} is not a positive integer")
-                counts[e] = counts.get(e, 0) + 1
-        bad = sorted(e for e, n in counts.items() if n != 2)
-        if bad:
-            raise PdError(f"edge labels must occur exactly twice, offending labels: {bad}")
+        counts = _label_counts(self.crossings)
         if counts and sorted(counts) != list(range(1, len(counts) + 1)):
             raise PdError("edge labels must form 1..E with no gaps")
         genus = _genus(self.crossings)
@@ -86,6 +82,15 @@ class PdCode:
         if not self.crossings:
             return UNKNOT_TOKEN
         return "[" + ",".join("[" + ",".join(map(str, q)) + "]" for q in self.crossings) + "]"
+
+
+def _label_counts(crossings) -> Counter:
+    """Occurrences of each edge label; raises unless every label occurs twice."""
+    counts = Counter(e for q in crossings for e in q)
+    bad = sorted(e for e, n in counts.items() if n != 2)
+    if bad:
+        raise PdError(f"edge labels must occur exactly twice, offending labels: {bad}")
+    return counts
 
 
 def _mates(crossings) -> list[int]:
@@ -172,7 +177,7 @@ def parse_pd(text: str) -> PdCode:
         if not isinstance(item, list) or len(item) != 4 or not all(map(_is_label, item)):
             raise PdError(f"crossing {item!r} is not a quadruple of integers")
         quads.append(tuple(item))
-    labels = sorted({e for q in quads for e in q})
+    labels = sorted(_label_counts(quads))  # before relabeling, so errors name the input's labels
     relabel = {old: new for new, old in enumerate(labels, start=1)}
     return PdCode(tuple(tuple(relabel[e] for e in q) for q in quads))
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -43,6 +44,35 @@ class TestAnalyze:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_label_gap_error_names_input_labels(self, capsys):
+        for pd, label in (("[[1,2,3,7]]", "7"),
+                          ("[[1,2,3,99999999999999999999999999999]]",
+                           "99999999999999999999999999999")):
+            code, out, err = run(capsys, "analyze", pd)
+            assert code == 1
+            assert out == ""
+            assert f"offending labels: [1, 2, 3, {label}]" in err
+
+    def test_large_prime_modulus(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "analyze", "3_1", "--mod", "1000000000000000003", "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["nullity"] == 1
+
+    def test_large_composite_modulus(self, capsys):
+        code, out, _ = run(capsys, "analyze", "3_1", "--mod", str(10 ** 30), "--json")
+        assert code == 0
+        assert "nullity" not in json.loads(out)
+
+    def test_undecidable_modulus_exit_1(self, capsys):
+        # 3317044064679887385961981 has no factor up to 41 and is past the
+        # bound where Miller-Rabin with those bases is proven exact
+        code, out, err = run(capsys, "analyze", "3_1", "--mod", "3317044064679887385961981")
+        assert code == 1
+        assert out == ""
+        assert "prime" in err
 
     def test_nonplanar_pd_exit_1(self, capsys):
         code, out, err = run(capsys, "analyze", "[[1,2,1,2]]")
@@ -107,6 +137,12 @@ class TestClasses:
         assert code == 2
         assert "budget" in err
 
+    def test_negative_budget_exit_1(self, capsys):
+        code, out, err = run(capsys, "classes", "3_1", "--mod", "3", "--budget", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--budget" in err
+
     def test_bad_modulus_before_budget(self, capsys):
         # m = 2 has no group; that input error wins over the enumeration budget
         code, _, err = run(capsys, "classes", "9_40", "--mod", "2", "--budget", "1")
@@ -126,6 +162,12 @@ class TestEnumerate:
         blob = json.loads(out)
         assert blob["count"] == 9
         assert len(blob["colorings"]) == 9
+
+    def test_negative_budget_exit_1(self, capsys):
+        code, out, err = run(capsys, "enumerate", "3_1", "--mod", "3", "--budget", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--budget" in err
 
 
 class TestVerify:
@@ -163,6 +205,18 @@ class TestVerify:
         assert out == ""
         assert "--moves" in err
 
+    def test_negative_budget_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify", "3_1", "--primes", "3", "--budget", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--budget" in err
+
+    def test_large_prime_exceeds_budget(self, capsys):
+        code, out, err = run(capsys, "verify", "3_1", "--primes", "1000000000000000003")
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
     def test_seeded_output_stable(self, capsys):
         _, out1, _ = run(capsys, "verify", "4_1", "--primes", "5", "--seed", "9")
         _, out2, _ = run(capsys, "verify", "4_1", "--primes", "5", "--seed", "9")
@@ -174,8 +228,8 @@ class TestVerify:
         real = cli.orb.verify_counts
 
         def broken(*args, **kwargs):
-            report = real(*args, **kwargs)
-            return dataclasses.replace(report, failures=("injected mismatch",))
+            return tuple(dataclasses.replace(report, failures=("injected mismatch",))
+                         for report in real(*args, **kwargs))
 
         monkeypatch.setattr(cli.orb, "verify_counts", broken)
         code, out, _ = run(capsys, "verify", "4_1", "--primes", "5")
@@ -209,6 +263,12 @@ class TestMoves:
         blob = json.loads(out)
         pd = parse_pd(json.dumps(blob["crossings"]))
         assert pd.n_crossings >= 3
+
+    def test_negative_random_exit_1(self, capsys):
+        code, out, err = run(capsys, "moves", "3_1", "--random", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--random" in err
 
     def test_bad_site_exit_1(self, capsys):
         code, _, err = run(capsys, "moves", "3_1", "--site", "R9:1")

@@ -1,9 +1,9 @@
 import json
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
-from foxcolor.coloring import (Coloring, EnumerationBudgetError,
+from foxcolor.coloring import (MILLER_RABIN_BOUND, Coloring, EnumerationBudgetError,
                                brute_force_colorings, brute_force_count,
                                coloring_matrix, count_colorings,
                                enumerate_colorings, extend_coloring,
@@ -27,8 +27,7 @@ class TestColoringMatrix:
     def test_trefoil_exact(self):
         cm = coloring_matrix(TREFOIL)
         assert cm.matrix == IntegerMatrix.from_rows([[1, 1, -2], [-2, 1, 1], [1, -2, 1]])
-        assert cm.arc_index == {frozenset({1, 6}): 0, frozenset({2, 3}): 1,
-                                frozenset({4, 5}): 2}
+        assert cm.arcs == (frozenset({1, 6}), frozenset({2, 3}), frozenset({4, 5}))
 
     def test_rows_sum_to_zero_everywhere(self):
         for name in catalog_names():
@@ -129,6 +128,26 @@ class TestNullity:
 
     def test_is_odd_prime(self):
         assert [p for p in range(2, 30) if is_odd_prime(p)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_is_odd_prime_matches_trial_division(self):
+        def by_trial_division(n):
+            return n > 2 and n % 2 == 1 and all(n % f for f in range(3, isqrt(n) + 1, 2))
+        assert all(is_odd_prime(n) == by_trial_division(n) for n in range(-5, 10 ** 5))
+
+    @pytest.mark.parametrize("n,expected", [
+        (10 ** 18 + 3, True), (2 ** 61 - 1, True), (10 ** 30, False), (3 * 10 ** 29, False),
+        # strong pseudoprimes to the first 7, 11 and 12 prime bases, and a composite
+        (341550071728321, False), (3825123056546413051, False),
+        (318665857834031151167461, False), (MILLER_RABIN_BOUND - 2, False),
+    ])
+    def test_is_odd_prime_large(self, n, expected):
+        assert is_odd_prime(n) is expected
+
+    def test_is_odd_prime_refuses_beyond_proven_bound(self):
+        # the bound itself is a strong pseudoprime to every base up to 41
+        with pytest.raises(ValueError, match="prime"):
+            is_odd_prime(MILLER_RABIN_BOUND)
+        assert is_odd_prime(MILLER_RABIN_BOUND * 3) is False
 
 
 class TestGeneratingArcs:

@@ -248,35 +248,35 @@ class TestPredictedCounts:
 
 class TestVerifyCounts:
     def test_trefoil(self):
-        rep = verify_counts(TREFOIL, 3, label="3_1", variants=2)
+        rep = verify_counts(TREFOIL, (3,), label="3_1", variants=2)[0]
         assert rep.passed
         assert (rep.aut_classes, rep.inn_classes) == (1, 1)
         assert rep.invariant_across_moves
 
     def test_figure8(self):
-        rep = verify_counts(FIGURE8, 5, label="4_1", variants=2)
+        rep = verify_counts(FIGURE8, (5,), label="4_1", variants=2)[0]
         assert rep.passed
         assert (rep.aut_classes, rep.inn_classes) == (1, 2)
 
     def test_940(self):
-        rep = verify_counts(KNOT940, 5, label="9_40", variants=1)
+        rep = verify_counts(KNOT940, (5,), label="9_40", variants=1)[0]
         assert rep.passed
         assert (rep.aut_classes, rep.inn_classes) == (6, 12)
         assert (rep.predicted_aut, rep.predicted_inn) == (6, 12)
 
     def test_unknot_vacuous(self):
-        rep = verify_counts(build_diagram(catalog("unknot")), 3, label="unknot")
+        rep = verify_counts(build_diagram(catalog("unknot")), (3,), label="unknot")[0]
         assert rep.passed
         assert rep.nullity == 1
         assert (rep.aut_classes, rep.inn_classes) == (0, 0)
 
     def test_no_colorings_vacuous(self):
-        rep = verify_counts(TREFOIL, 5, label="3_1")
+        rep = verify_counts(TREFOIL, (5,), label="3_1")[0]
         assert rep.passed
         assert rep.aut_classes == 0
 
     def test_json_keys(self):
-        rep = verify_counts(FIGURE8, 5, label="4_1", variants=1)
+        rep = verify_counts(FIGURE8, (5,), label="4_1", variants=1)[0]
         blob = rep.to_json_dict()
         assert blob["knot"] == "4_1"
         assert blob["p"] == 5
@@ -290,7 +290,7 @@ class TestVerifyCounts:
             d = build_diagram(catalog(name))
             det = profile(d).determinant
             assert is_odd_prime(det)
-            rep = verify_counts(d, det, label=name, variants=1)
+            rep = verify_counts(d, (det,), label=name, variants=1)[0]
             assert rep.passed
             assert rep.aut_classes == 1
             assert rep.inn_classes == (det - 1) // 2
