@@ -118,8 +118,9 @@ def cmd_classes(args) -> int:
     label, d = _resolve_target(args.target)
     if args.budget < 0:
         return _fail("--budget must be at least 0", EXIT_INPUT)
-    group = orb.build_group(args.group, args.mod)
+    orb.check_group(args.group, args.mod)  # input errors first, then the budget, then the group
     nontrivial = col.enumerate_colorings(d, args.mod, nontrivial_only=True, budget=args.budget)
+    group = orb.build_group(args.group, args.mod)
     part = orb.orbit_partition(nontrivial, group)
     payload = {
         "target": label,

@@ -13,8 +13,6 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from .diagram import PlanarDiagram
 from .linalg import IntegerMatrix, SmithDecomposition, smith_normal_form, solve_mod
 
@@ -127,7 +125,7 @@ def coloring_matrix(d: PlanarDiagram) -> ColoringMatrix:
         row[k] += 1
         row[j] -= 2
         rows.append(tuple(row))
-    return ColoringMatrix(IntegerMatrix.from_rows(rows), d.arcs)
+    return ColoringMatrix(IntegerMatrix(len(rows), n, tuple(rows)), d.arcs)
 
 
 def profile(d: PlanarDiagram) -> ColoringProfile:
@@ -235,6 +233,8 @@ def brute_force_colorings(d: PlanarDiagram, m: int,
 def brute_force_count(d: PlanarDiagram, m: int, budget: int = BRUTE_COUNT_BUDGET,
                       chunk: int = 1 << 20) -> int:
     """Oracle count over all m^arcs assignments, vectorized in chunks."""
+    import numpy as np  # imported here so that the command line never loads numpy
+
     if m < 2:
         raise ValueError("modulus must be at least 2")
     n = d.n_arcs

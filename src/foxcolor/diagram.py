@@ -170,6 +170,8 @@ def parse_pd(text: str) -> PdCode:
         raw = json.loads(stripped)
     except json.JSONDecodeError as exc:
         raise PdError(f"malformed PD code: {exc}") from None
+    except RecursionError:
+        raise PdError("malformed PD code: lists nested too deeply") from None
     if not isinstance(raw, list) or not raw:
         raise PdError("PD code must be a non-empty list of quadruples (or the token 'unknot')")
     quads = []

@@ -4,20 +4,23 @@ and kernel enumeration over Z/mZ.
 Everything here uses Python's arbitrary-precision integers; intermediate
 entries during diagonalization routinely leave machine range.
 
-The Smith form eliminates on sparse storage: rows of the matrix and of
-the row transform are {col: value} dicts, a per-column set of nonzero rows
-drives the column operations, and the column transform is kept by column.
-Coloring matrices have three nonzeros per row and almost all invariant
-factors 1, so the cost follows the fill-in rather than n^3.  The pivot
-rule and the output, s, r and c entry for entry, are those of dense
-elimination; tests/test_snf_differential.py keeps the dense code as the
-reference.
+The Smith form eliminates on sparse storage: rows of the matrix are
+{col: value} dicts and a per-column set of nonzero rows drives the column
+operations.  Coloring matrices have three nonzeros per row and almost all
+invariant factors 1, so the cost follows the fill-in rather than n^3.
+Elimination touches the matrix alone and logs its row and column
+operations; s, r and c are built on first access, r and c by replaying
+the logs onto identities.  Invariant factors, determinants and counts
+never build a transform.  The pivot rule and the output, s, r and c entry
+for entry, are those of dense elimination; tests/test_snf_differential.py
+keeps the dense code as the reference.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 
@@ -111,16 +114,43 @@ class IntegerMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Diagonal form s together with unimodular r, c such that s = r @ m @ c."""
+    """Diagonal form s together with unimodular r, c such that s = r @ m @ c.
 
-    s: IntegerMatrix
-    r: IntegerMatrix
-    c: IntegerMatrix
+    Holds the shape of m, its invariant factors and the row and column
+    operations of the elimination, in order.  s, r and c are built on first
+    access and cached: s from the factors, r and c by replaying the logs
+    onto identities, with the same entries as if the transforms had been
+    carried through the elimination.  A row operation is (i, j) for a swap,
+    (i,) for a negation or (i, j, q) for row_i -= q * row_j; a column
+    operation is (i, j) or (i, j, q) on columns.
+    """
+
+    shape: tuple[int, int]
     invariant_factors: tuple[int, ...]
+    row_ops: tuple[tuple[int, ...], ...]
+    col_ops: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def s(self) -> IntegerMatrix:
+        nr, nc = self.shape
+        f = self.invariant_factors
+        return IntegerMatrix(nr, nc, tuple(_dense({i: f[i]} if i < len(f) else {}, nc)
+                                           for i in range(nr)))
+
+    @cached_property
+    def r(self) -> IntegerMatrix:
+        n = self.shape[0]
+        return IntegerMatrix(n, n, tuple(_dense(row, n) for row in _replay(n, self.row_ops)))
+
+    @cached_property
+    def c(self) -> IntegerMatrix:
+        n = self.shape[1]
+        cols = (_dense(col, n) for col in _replay(n, self.col_ops))
+        return IntegerMatrix(n, n, tuple(zip(*cols)))
 
     @property
     def diagonal_length(self) -> int:
-        return min(self.s.rows, self.s.cols)
+        return min(self.shape)
 
     def padded_factors(self) -> tuple[int, ...]:
         """Invariant factors extended with zeros to one entry per column.
@@ -128,29 +158,28 @@ class SmithDecomposition:
         Columns beyond the diagonal carry no constraint, which is the same
         as a zero diagonal entry when solving s @ y = 0.
         """
-        pad = self.s.cols - len(self.invariant_factors)
+        pad = self.shape[1] - len(self.invariant_factors)
         return self.invariant_factors + (0,) * pad
 
 
 class _Worker:
     """Sparse elimination state.
 
-    Rows of a and of rt (the accumulated row operations) are {col: value}
-    dicts holding nonzeros only; cols[j] is the set of rows with a nonzero
-    in column j of a.  ct (the accumulated column operations) is stored by
-    column, as {row: value} dicts.
+    Rows of a are {col: value} dicts holding nonzeros only; cols[j] is the
+    set of rows with a nonzero in column j.  Each operation is applied to a
+    and appended to row_ops or col_ops in SmithDecomposition's format.
     """
 
     def __init__(self, m: IntegerMatrix):
         self.nr = m.rows
         self.nc = m.cols
-        self.a = [{j: v for j, v in enumerate(row) if v} for row in m.entries]
+        self.a = [dict(itertools.compress(enumerate(row), row)) for row in m.entries]
         self.cols = [set() for _ in range(self.nc)]
         for i, row in enumerate(self.a):
             for j in row:
                 self.cols[j].add(i)
-        self.rt = [{i: 1} for i in range(self.nr)]
-        self.ct = [{j: 1} for j in range(self.nc)]
+        self.row_ops = []
+        self.col_ops = []
 
     def row_swap(self, i, j):
         ai, aj = self.a[i], self.a[j]
@@ -163,7 +192,7 @@ class _Worker:
         for k in aj:
             self.cols[k].add(i)
         self.a[i], self.a[j] = aj, ai
-        self.rt[i], self.rt[j] = self.rt[j], self.rt[i]
+        self.row_ops.append((i, j))
 
     def col_swap(self, i, j):
         for r in self.cols[i] | self.cols[j]:
@@ -174,25 +203,25 @@ class _Worker:
             if vi:
                 row[j] = vi
         self.cols[i], self.cols[j] = self.cols[j], self.cols[i]
-        self.ct[i], self.ct[j] = self.ct[j], self.ct[i]
+        self.col_ops.append((i, j))
 
     def row_negate(self, i):
         self.a[i] = {k: -v for k, v in self.a[i].items()}
-        self.rt[i] = {k: -v for k, v in self.rt[i].items()}
+        self.row_ops.append((i,))
 
     def row_sub(self, i, j, q):
         """row_i -= q * row_j"""
         target = self.a[i]
         for k, v in self.a[j].items():
             self._store(target, i, k, target.get(k, 0) - q * v)
-        _axpy(self.rt[i], self.rt[j], -q)
+        self.row_ops.append((i, j, q))
 
     def col_sub(self, i, j, q):
         """col_i -= q * col_j"""
         for r in self.cols[j]:
             row = self.a[r]
             self._store(row, r, i, row.get(i, 0) - q * row[j])
-        _axpy(self.ct[i], self.ct[j], -q)
+        self.col_ops.append((i, j, q))
 
     def row_add(self, i, j):
         """row_i += row_j"""
@@ -206,6 +235,26 @@ class _Worker:
         elif k in row:
             del row[k]
             self.cols[k].discard(i)
+
+
+def _replay(n, ops):
+    """Apply a row- or column-operation log to the n x n identity.
+
+    Returns the transformed rows (or, for a column log, columns) as
+    {index: value} dicts.
+    """
+    vecs = [{i: 1} for i in range(n)]
+    for op in ops:
+        if len(op) == 3:
+            i, j, q = op
+            _axpy(vecs[i], vecs[j], -q)
+        elif len(op) == 2:
+            i, j = op
+            vecs[i], vecs[j] = vecs[j], vecs[i]
+        else:
+            (i,) = op
+            vecs[i] = {k: -v for k, v in vecs[i].items()}
+    return vecs
 
 
 def _axpy(target, source, q):
@@ -249,10 +298,13 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     smallest nonzero absolute value with (row, col) tie-breaking, diagonal
     entries come out non-negative and each divides the next.
 
-    Storage is sparse and s, r, c are made dense once at the end, with the
-    same pivots and output as dense elimination under this rule.  The cost
-    follows the fill-in of the matrix and its transforms rather than n^3,
-    and a unit pivot skips the divisibility check.
+    Elimination runs on sparse rows of m alone, with the same pivots as
+    dense elimination under this rule, and records its operations; r and
+    c are replayed from that record on first access, so callers that read
+    only the invariant factors never pay for the transforms, and those
+    that do get the same entries as before.  The cost follows the fill-in
+    of the matrix rather than n^3, and a unit pivot skips the
+    divisibility check.
     """
     w = _Worker(m)
     nr, nc = w.nr, w.nc
@@ -276,11 +328,8 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
                 break
             w.row_add(s, bad)  # drags the offending row into row s; redo elimination
         s += 1
-    smat = IntegerMatrix(nr, nc, tuple(_dense(row, nc) for row in w.a))
-    rmat = IntegerMatrix(nr, nr, tuple(_dense(row, nr) for row in w.rt))
-    cmat = IntegerMatrix(nc, nc, tuple(zip(*(_dense(col, nc) for col in w.ct))))
     factors = tuple(w.a[i].get(i, 0) for i in range(lim))
-    return SmithDecomposition(smat, rmat, cmat, factors)
+    return SmithDecomposition((nr, nc), factors, tuple(w.row_ops), tuple(w.col_ops))
 
 
 def _eliminate(w: _Worker, s: int):

@@ -76,6 +76,20 @@ class GroupSpec:
         return len(self.elements)
 
 
+def check_group(kind: str, m: int) -> str:
+    """The normalized group kind; ValueError unless build_group(kind, m) is defined.
+
+    Costs nothing in m, so callers can reject bad input before any work
+    that grows with the group.
+    """
+    if m < 3:
+        raise ValueError("groups are defined for modulus >= 3")
+    kind = kind.lower()
+    if kind not in (AUT, INN):
+        raise ValueError(f"unknown group kind {kind!r}")
+    return kind
+
+
 def build_group(kind: str, m: int) -> GroupSpec:
     """All affine maps (kind "aut") or the inner subgroup +-x + mu (kind "inn").
 
@@ -83,17 +97,13 @@ def build_group(kind: str, m: int) -> GroupSpec:
     the inner maps only admit even mu, giving a dihedral group of order m;
     for odd m every mu occurs and the order is 2m.
     """
-    if m < 3:
-        raise ValueError("groups are defined for modulus >= 3")
-    kind = kind.lower()
+    kind = check_group(kind, m)
     if kind == AUT:
         lams = [l for l in range(1, m) if gcd(l, m) == 1]
         mus = range(m)
-    elif kind == INN:
+    else:
         lams = [1, m - 1]
         mus = range(0, m, 2) if m % 2 == 0 else range(m)
-    else:
-        raise ValueError(f"unknown group kind {kind!r}")
     elements = tuple(AffineMap(m, l, u) for l in lams for u in mus)
     return GroupSpec(kind, m, elements)
 

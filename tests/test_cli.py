@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import foxcolor
+from foxcolor import orbits
 from foxcolor.cli import main
 from foxcolor.diagram import parse_pd
 
@@ -44,6 +50,14 @@ class TestAnalyze:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_deeply_nested_pd_exit_1(self, capsys):
+        for pd in ("[" * 100_000, "[" * 5_000 + "]" * 5_000):
+            code, out, err = run(capsys, "analyze", pd)
+            assert code == 1
+            assert out == ""
+            assert "nested too deeply" in err
+            assert "Traceback" not in err
 
     def test_label_gap_error_names_input_labels(self, capsys):
         for pd, label in (("[[1,2,3,7]]", "7"),
@@ -142,6 +156,25 @@ class TestClasses:
         assert code == 1
         assert out == ""
         assert "--budget" in err
+
+    def test_budget_before_group(self, capsys, monkeypatch):
+        # the budget error comes before the m(m-1) maps of the group are built
+        calls = []
+        build_group = orbits.build_group
+
+        def recording_build_group(kind, m):
+            calls.append((kind, m))
+            return build_group(kind, m)
+
+        monkeypatch.setattr(orbits, "build_group", recording_build_group)
+        code, out, err = run(capsys, "classes", "3_1", "--mod", "401", "--budget", "1")
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+        assert calls == []
+        code, _, _ = run(capsys, "classes", "3_1", "--mod", "401", "--group", "inn")
+        assert code == 0
+        assert calls == [("inn", 401)]
 
     def test_bad_modulus_before_budget(self, capsys):
         # m = 2 has no group; that input error wins over the enumeration budget
@@ -295,3 +328,11 @@ class TestJsonRoundTrip:
         assert code == 0
         regenerated = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert regenerated == out
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves one test oracle; the command line must not pay ~0.1 s for it
+    src = str(Path(foxcolor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    check = "import sys, foxcolor.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", check], env=env, timeout=60).returncode == 0

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foxcolor.coloring import coloring_matrix, link_determinant, profile
+from foxcolor.diagram import build_diagram, catalog, catalog_names, random_variants
 from foxcolor.linalg import (IntegerMatrix, minor_gcd_factors, smith_normal_form,
                              solve_mod)
 
@@ -141,6 +143,49 @@ class TestLargerMatrices:
             for f in sd.invariant_factors:
                 product *= f
             assert product == abs(m.det())
+
+
+class TestTransformsOnDemand:
+    def test_invariants_build_no_transform(self):
+        # counts, nullities and determinants read the factors alone
+        for name in catalog_names():
+            pr = profile(build_diagram(catalog(name)))
+            if pr.smith is None:
+                continue
+            for m in range(2, 16):
+                pr.count(m)
+            for p in (3, 5, 7, 11, 13):
+                pr.nullity(p)
+            assert link_determinant(pr.smith) == pr.determinant
+            assert not {"s", "r", "c"} & set(vars(pr.smith)), name
+
+    def test_enumeration_builds_c_only(self):
+        sd = profile(build_diagram(catalog("9_40"))).smith
+        kernel = solve_mod(sd, 5)
+        assert kernel.transform is sd.c
+        assert "c" in vars(sd)
+        assert "r" not in vars(sd)
+
+    def test_replayed_transforms_on_grown_variant(self):
+        # larger than the dense-reference cases; the replayed transforms
+        # still satisfy the defining equation exactly
+        d = build_diagram(catalog("9_40"))
+        (variant,) = random_variants(d, 1, 30, seed=5)
+        m = coloring_matrix(variant).matrix
+        assert min(m.rows, m.cols) > 20
+        sd = smith_normal_form(m)
+        assert_valid_decomposition(m, sd)
+        assert sd.invariant_factors[-3:] == (5, 15, 0)
+
+    def test_equal_decompositions(self):
+        m = IntegerMatrix.from_rows([[3, 1, 4], [1, 5, 9], [2, 6, 5]])
+        a, b = smith_normal_form(m), smith_normal_form(m)
+        _ = a.r, a.c  # a cached transform takes no part in equality
+        assert a == b
+        assert hash(a) == hash(b)
+        # same factors, different operations
+        assert smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 4]])) != \
+            smith_normal_form(IntegerMatrix.from_rows([[4, 0], [0, 2]]))
 
 
 class TestSolveMod:

@@ -6,7 +6,7 @@ import pytest
 from foxcolor.coloring import Coloring, enumerate_colorings, is_odd_prime, profile
 from foxcolor.diagram import build_diagram, catalog
 from foxcolor.orbits import (AUT, INN, AffineMap, apply_map,
-                             apply_permutation_unchecked, build_group,
+                             apply_permutation_unchecked, build_group, check_group,
                              orbit_partition, predicted_class_count,
                              verify_counts)
 
@@ -77,6 +77,14 @@ class TestBuildGroup:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_group("sym", 5)
+
+    def test_check_group_matches_build_group(self):
+        # the cheap check accepts exactly what build_group accepts, at any size
+        assert check_group("AUT", 5) == AUT
+        assert check_group(INN, 10 ** 18 + 3) == INN
+        for kind, m in ((AUT, 2), (INN, 1), ("sym", 5)):
+            with pytest.raises(ValueError):
+                check_group(kind, m)
 
     def test_deterministic_order(self):
         g = build_group(AUT, 7)

@@ -7,13 +7,23 @@ below is the reference and lives only here.
 """
 
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from foxcolor.coloring import coloring_matrix
 from foxcolor.diagram import build_diagram, catalog, catalog_names, random_variants
-from foxcolor.linalg import IntegerMatrix, SmithDecomposition, smith_normal_form
+from foxcolor.linalg import IntegerMatrix, smith_normal_form
+
+
+class DenseSmith(NamedTuple):
+    """What the dense reference computes: s = r @ m @ c and the diagonal of s."""
+
+    s: IntegerMatrix
+    r: IntegerMatrix
+    c: IntegerMatrix
+    invariant_factors: tuple[int, ...]
 
 
 class _DenseWorker:
@@ -73,7 +83,7 @@ def _dense_find_pivot(a, s, nr, nc):
     return best
 
 
-def dense_smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
+def dense_smith_normal_form(m: IntegerMatrix) -> DenseSmith:
     """The dense, cubic Smith normal form that smith_normal_form replaced."""
     w = _DenseWorker(m)
     nr, nc = w.nr, w.nc
@@ -101,7 +111,7 @@ def dense_smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     rmat = IntegerMatrix.from_rows([tuple(row) for row in w.rt], cols=nr) if nr else IntegerMatrix(0, 0, ())
     cmat = IntegerMatrix.from_rows([tuple(row) for row in w.ct], cols=nc) if nc else IntegerMatrix(0, 0, ())
     factors = tuple(w.a[i][i] for i in range(lim))
-    return SmithDecomposition(smat, rmat, cmat, factors)
+    return DenseSmith(smat, rmat, cmat, factors)
 
 
 def _dense_eliminate(w: _DenseWorker, s: int):
