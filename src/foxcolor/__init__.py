@@ -14,7 +14,8 @@ from .coloring import (Coloring, ColoringMatrix, ColoringProfile,
                        link_determinant, p_nullity, profile)
 from .orbits import (AffineMap, GroupSpec, Orbit, OrbitPartition, VerifyReport,
                      apply_map, apply_permutation_unchecked, build_group,
-                     orbit_partition, predicted_class_count, verify_counts)
+                     orbit_partition, predicted_class_count, prime_classes,
+                     verify_counts)
 
 __version__ = "0.1.0"
 
@@ -28,6 +29,6 @@ __all__ = [
     "catalog_names", "coloring_matrix", "count_colorings",
     "enumerate_colorings", "extend_coloring", "generating_arcs",
     "link_determinant", "minor_gcd_factors", "orbit_partition", "parse_pd",
-    "p_nullity", "predicted_class_count", "profile", "random_variants",
+    "p_nullity", "predicted_class_count", "prime_classes", "profile", "random_variants",
     "smith_normal_form", "solve_mod", "verify_counts",
 ]

@@ -6,17 +6,27 @@ unit; the inner subgroup is lam = +-1 (mu even when m is even).  Acting
 arcwise on the non-trivial m-colorings of a diagram, the orbits are the
 equivalence classes; for an odd prime p and nullity n the class counts
 have closed forms, verified here against brute-force orbit partitions.
+
+For an odd prime the action is free, and prime_classes lists the sorted
+orbit representatives straight from the reduced echelon basis of the
+kernel over F_p, without listing the colorings or building the group.
+orbit_partition partitions enumerated colorings under the whole group;
+it serves composite moduli, and verify_counts keeps it as the
+independent brute-force check for primes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from operator import attrgetter
 
-from .coloring import Coloring, ColoringProfile, ENUMERATION_BUDGET, is_odd_prime, profile
+from .coloring import (Coloring, ColoringProfile, ENUMERATION_BUDGET, _rref_mod_p,
+                       is_odd_prime, profile)
 from .diagram import PlanarDiagram, random_variants
+from .linalg import IntegerMatrix, ModularKernel, solve_mod
 
 AUT = "aut"
 INN = "inn"
@@ -183,6 +193,50 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
         seen |= orbit
         orbits.append(Orbit(c, len(orbit)))
     return OrbitPartition(group.modulus, group.kind, tuple(orbits), len(orbits))
+
+
+def prime_classes(pr: ColoringProfile, kind: str, p: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Orbit size and sorted representatives of the non-trivial p-colorings.
+
+    For an odd prime p, without listing the colorings.  The action on
+    non-trivial colorings is free, so every orbit has p(p-1) (aut) or 2p
+    (inn) members, and its lexicographically least member has arc 0 = 0
+    and its first nonzero value 1 (aut) or in 1..(p-1)/2 (inn).
+
+    The kernel basis over F_p (the columns of the Smith transform c that
+    solve_mod leaves free) is put in reduced echelon form, pivots
+    ascending.  The constant colorings span the row with pivot arc 0;
+    the other rows b_0..b_{k-1} span the colorings with arc 0 = 0, and on
+    them lex order of colorings is lex order of coefficient tuples, with
+    the first nonzero coefficient the first nonzero value.  The odometer
+    of ModularKernel.vectors walks the coefficient tuples in that order,
+    and the representatives with first nonzero coefficient at b_t, lead
+    a, sit at walk positions a*p^(k-1-t) onward.  So one walk, keeping
+    the positions [p^j, lead_stop*p^j) for j = 0..k-1, yields them
+    sorted; it stops at lead_stop*p^(k-1), at most twice the class count.
+    """
+    kind = check_group(kind, p)
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    size, lead_stop = (p * (p - 1), 2) if kind == AUT else (2 * p, (p + 1) // 2)
+    if pr.smith is None:
+        return size, []
+    kernel = solve_mod(pr.smith, p)
+    c = kernel.transform.entries
+    basis = tuple(tuple(row[j] for row in c) for j, s in enumerate(kernel.sizes) if s == p)
+    _, rows = _rref_mod_p(IntegerMatrix(len(basis), pr.n_arcs, basis), p)
+    rows = rows[1:]  # drop the constants' row, the one with pivot arc 0
+    k = len(rows)
+    if k == 0:
+        return size, []
+    span = IntegerMatrix(pr.n_arcs, k, tuple(zip(*rows)))
+    walk = ModularKernel(p, (1,) * k, (p,) * k, span).vectors()
+    reps: list[tuple[int, ...]] = []
+    done = 0
+    for j in range(k):
+        reps += islice(walk, p ** j - done, lead_stop * p ** j - done)
+        done = lead_stop * p ** j
+    return size, reps
 
 
 def predicted_class_count(kind: str, p: int, n: int) -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import foxcolor
-from foxcolor import orbits
+from foxcolor import cli, orbits
 from foxcolor.cli import main
 from foxcolor.diagram import parse_pd
 
@@ -172,9 +172,20 @@ class TestClasses:
         assert out == ""
         assert "budget" in err
         assert calls == []
+        # a prime modulus reads its classes from the kernel basis: no group at all
         code, _, _ = run(capsys, "classes", "3_1", "--mod", "401", "--group", "inn")
         assert code == 0
-        assert calls == [("inn", 401)]
+        assert calls == []
+        code, _, _ = run(capsys, "classes", "3_1", "--mod", "9", "--group", "inn")
+        assert code == 0
+        assert calls == [("inn", 9)]
+
+    def test_budget_before_primality(self, capsys):
+        # a modulus whose primality cannot be decided still meets the budget first
+        code, out, err = run(capsys, "classes", "3_1", "--mod", "3317044064679887385961981")
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
 
     def test_bad_modulus_before_budget(self, capsys):
         # m = 2 has no group; that input error wins over the enumeration budget
@@ -319,6 +330,8 @@ class TestJsonRoundTrip:
         ("analyze", "9_40", "--mod", "5", "--json"),
         ("classes", "4_1", "--mod", "5", "--group", "inn", "--json"),
         ("enumerate", "3_1", "--mod", "3", "--json"),
+        ("enumerate", "4_1", "--mod", "5", "--all", "--json"),
+        ("classes", "3_1", "--mod", "9", "--json"),
         ("verify", "4_1", "--primes", "5", "--json"),
         ("catalog", "--json"),
         ("moves", "3_1", "--site", "R1_insert:1", "--json"),
@@ -328,6 +341,50 @@ class TestJsonRoundTrip:
         assert code == 0
         regenerated = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert regenerated == out
+
+
+class TestJsonWriter:
+    """The --json writer against json.dumps(indent=2, sort_keys=True), byte for byte."""
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "9_40", "--json"),
+        ("analyze", "9_40", "--mod", "15", "--json"),
+        ("analyze", "unknot", "--mod", "3", "--json"),
+        ("classes", "9_40", "--mod", "5", "--json"),
+        ("classes", "9_40", "--mod", "15", "--group", "inn", "--json"),
+        ("classes", "3_1", "--mod", "5", "--json"),
+        ("enumerate", "9_40", "--mod", "5", "--all", "--json"),
+        ("enumerate", "3_1", "--mod", "5", "--json"),
+        ("verify", "9_40", "--primes", "3,5", "--json"),
+        ("catalog", "--json"),
+        ("moves", "4_1", "--random", "3", "--json"),
+    ])
+    def test_every_verb_payload(self, capsys, monkeypatch, argv):
+        payloads = []
+        emit = cli._emit_json
+
+        def recording_emit(payload):
+            payloads.append(payload)
+            emit(payload)
+
+        monkeypatch.setattr(cli, "_emit_json", recording_emit)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        [payload] = payloads
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[]], [{}]],
+        [1, True, 2, False], [True, False], [1, None, 0], None, True, 0, -1, 2 ** 64 + 1,
+        [-1, -(2 ** 70), 2 ** 64, 0], (3, 1, 2), [1.5, 2], {"b": [1, [2, [3, []]]], "a": -7},
+        "", 'quote " backslash \\ tab \t nl \n nul \x00 bell \x07',
+        ["caf\u00e9", "\u03bb x", "\U0001f600", "\u2028"],
+        {"z": None, "\u00e9": "\x1f", "": 0, "a b": [True]},
+        {"orbits": [{"size": 6, "representative": [0, 0, 1]}], "target": "<pd>"},
+    ])
+    def test_edge_cases(self, capsys, obj):
+        cli._emit_json(obj)
+        assert capsys.readouterr().out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_cli_import_leaves_numpy_unloaded():
