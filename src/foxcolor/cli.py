@@ -153,40 +153,31 @@ def cmd_classes(args) -> int:
     label, d = _resolve_target(args.target)
     if args.budget < 0:
         return _fail("--budget must be at least 0", EXIT_INPUT)
-    m = args.mod
-    kind = orb.check_group(args.group, m)  # input errors first, then the budget
-    pr = col.profile(d)
-    pr.check_budget(m, args.budget)
-    if col.is_odd_prime(m):
-        # free action: representatives straight from the F_p kernel basis
-        size, reps = orb.prime_classes(pr, kind, m)
-        nontrivial = pr.count(m) - m
-        orbits = [(size, rep) for rep in reps]
-    else:
-        # composite m: enumerate, then partition under the whole group
-        colorings = pr.colorings(m, nontrivial_only=True, budget=args.budget)
-        part = orb.orbit_partition(colorings, orb.build_group(kind, m))
-        nontrivial = len(colorings)
-        orbits = [(o.size, o.representative.values) for o in part.orbits]
+    orb.check_group(args.group, args.mod)  # input errors first, then the budget, then the group
+    nontrivial = col.enumerate_colorings(d, args.mod, nontrivial_only=True, budget=args.budget)
+    group = orb.build_group(args.group, args.mod)
+    part = orb.orbit_partition(nontrivial, group)
     payload = {
         "target": label,
-        "mod": m,
-        "group": kind,
-        "nontrivial": nontrivial,
-        "class_count": len(orbits),
-        "orbits": [{"size": size, "representative": list(rep)} for size, rep in orbits],
+        "mod": args.mod,
+        "group": group.kind,
+        "nontrivial": len(nontrivial),
+        "class_count": part.class_count,
+        "orbits": [{"size": o.size, "representative": list(o.representative.values)}
+                   for o in part.orbits],
     }
     if args.json:
         _emit_json(payload)
         return EXIT_OK
-    print(f"{label}  mod {m}  group {kind}")
-    print(f"non-trivial colorings: {nontrivial}")
-    print(f"classes: {len(orbits)}")
-    if orbits:
+    print(f"{label}  mod {args.mod}  group {group.kind}")
+    print(f"non-trivial colorings: {len(nontrivial)}")
+    print(f"classes: {part.class_count}")
+    if part.orbits:
         print(f"arcs: {_arc_header(d)}")
         print("class  size  representative")
-        for i, (size, rep) in enumerate(orbits, 1):
-            print(f"{i:<5}  {size:<4}  {' '.join(map(str, rep))}")
+        for i, o in enumerate(part.orbits, 1):
+            rep = " ".join(map(str, o.representative.values))
+            print(f"{i:<5}  {o.size:<4}  {rep}")
     return EXIT_OK
 
 

@@ -83,18 +83,6 @@ class ColoringProfile:
             return m
         return count_colorings(self.smith, m)
 
-    def check_budget(self, m: int, budget: int) -> None:
-        """Raise EnumerationBudgetError if there are more than budget m-colorings.
-
-        The crossing-free unknot is never refused: its m colorings are
-        the constants, listed without a walk.
-        """
-        if self.smith is None:
-            return
-        total = count_colorings(self.smith, m)
-        if total > budget:
-            raise EnumerationBudgetError(f"{total} colorings exceed budget {budget}")
-
     def colorings(self, m: int, nontrivial_only: bool = False,
                   budget: int = ENUMERATION_BUDGET) -> list[Coloring]:
         """All m-colorings in a deterministic order.
@@ -110,7 +98,9 @@ class ColoringProfile:
             if nontrivial_only:
                 return []
             return [Coloring(m, (v,)) for v in range(m)]
-        self.check_budget(m, budget)
+        total = count_colorings(self.smith, m)
+        if total > budget:
+            raise EnumerationBudgetError(f"{total} colorings exceed budget {budget}")
         vectors = solve_mod(self.smith, m).vectors()
         if nontrivial_only:
             vectors = (x for x in vectors if len(set(x)) > 1)

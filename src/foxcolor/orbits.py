@@ -11,8 +11,8 @@ For an odd prime the action is free, and prime_classes lists the sorted
 orbit representatives straight from the reduced echelon basis of the
 kernel over F_p, without listing the colorings or building the group.
 orbit_partition partitions enumerated colorings under the whole group;
-it serves composite moduli, and verify_counts keeps it as the
-independent brute-force check for primes.
+the classes command runs it at every modulus, and verify_counts keeps it
+as the independent brute-force check for primes.
 """
 
 from __future__ import annotations

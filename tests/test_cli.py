@@ -172,20 +172,9 @@ class TestClasses:
         assert out == ""
         assert "budget" in err
         assert calls == []
-        # a prime modulus reads its classes from the kernel basis: no group at all
         code, _, _ = run(capsys, "classes", "3_1", "--mod", "401", "--group", "inn")
         assert code == 0
-        assert calls == []
-        code, _, _ = run(capsys, "classes", "3_1", "--mod", "9", "--group", "inn")
-        assert code == 0
-        assert calls == [("inn", 9)]
-
-    def test_budget_before_primality(self, capsys):
-        # a modulus whose primality cannot be decided still meets the budget first
-        code, out, err = run(capsys, "classes", "3_1", "--mod", "3317044064679887385961981")
-        assert code == 2
-        assert out == ""
-        assert "budget" in err
+        assert calls == [("inn", 401)]
 
     def test_bad_modulus_before_budget(self, capsys):
         # m = 2 has no group; that input error wins over the enumeration budget
@@ -326,40 +315,27 @@ class TestMoves:
 
 
 class TestJsonRoundTrip:
+    """Every verb's --json output is json.dumps(payload, indent=2, sort_keys=True)."""
+
     @pytest.mark.parametrize("argv", [
         ("analyze", "9_40", "--mod", "5", "--json"),
         ("classes", "4_1", "--mod", "5", "--group", "inn", "--json"),
         ("enumerate", "3_1", "--mod", "3", "--json"),
-        ("enumerate", "4_1", "--mod", "5", "--all", "--json"),
-        ("classes", "3_1", "--mod", "9", "--json"),
         ("verify", "4_1", "--primes", "5", "--json"),
         ("catalog", "--json"),
         ("moves", "3_1", "--site", "R1_insert:1", "--json"),
-    ])
-    def test_byte_identical_regeneration(self, capsys, argv):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        regenerated = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
-        assert regenerated == out
-
-
-class TestJsonWriter:
-    """The --json writer against json.dumps(indent=2, sort_keys=True), byte for byte."""
-
-    @pytest.mark.parametrize("argv", [
+        ("enumerate", "4_1", "--mod", "5", "--all", "--json"),
+        ("classes", "3_1", "--mod", "9", "--json"),
         ("analyze", "9_40", "--json"),
-        ("analyze", "9_40", "--mod", "15", "--json"),
         ("analyze", "unknot", "--mod", "3", "--json"),
-        ("classes", "9_40", "--mod", "5", "--json"),
         ("classes", "9_40", "--mod", "15", "--group", "inn", "--json"),
         ("classes", "3_1", "--mod", "5", "--json"),
-        ("enumerate", "9_40", "--mod", "5", "--all", "--json"),
-        ("enumerate", "3_1", "--mod", "5", "--json"),
         ("verify", "9_40", "--primes", "3,5", "--json"),
-        ("catalog", "--json"),
         ("moves", "4_1", "--random", "3", "--json"),
     ])
-    def test_every_verb_payload(self, capsys, monkeypatch, argv):
+    def test_byte_identical_regeneration(self, capsys, monkeypatch, argv):
+        # compared with the payload the verb built, not with re-parsed output,
+        # so a value the writer changed (a bool written as an int) shows too
         payloads = []
         emit = cli._emit_json
 
@@ -372,6 +348,10 @@ class TestJsonWriter:
         assert code == 0
         [payload] = payloads
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonWriter:
+    """The --json writer against json.dumps(indent=2, sort_keys=True), byte for byte."""
 
     @pytest.mark.parametrize("obj", [
         {}, [], (), [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[]], [{}]],
