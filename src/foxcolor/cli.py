@@ -74,25 +74,25 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _resolve_target(target: str) -> tuple[str, dia.PlanarDiagram]:
+def _resolve_code(target: str) -> tuple[str, dia.PdCode]:
     """Target as catalog name, PD text, @file, or '-' (stdin)."""
-    label = target
     if target == "-":
-        text = sys.stdin.read()
-        label = "<stdin>"
-    elif target.startswith("@"):
+        return "<stdin>", dia.parse_pd(sys.stdin.read())
+    if target.startswith("@"):
         with open(target[1:], encoding="utf-8") as fh:
-            text = fh.read()
-        label = target[1:]
-    elif target in dia.catalog_names():
-        return target, dia.build_diagram(dia.catalog(target))
-    elif target.startswith("[") or target.strip() == dia.UNKNOT_TOKEN:
-        text = target
-        label = "<pd>"
-    else:
-        raise dia.PdError(f"unknown catalog name {target!r} "
-                          f"(known: {', '.join(dia.catalog_names())})")
-    return label, dia.build_diagram(dia.parse_pd(text))
+            return target[1:], dia.parse_pd(fh.read())
+    if target in dia.catalog_names():
+        return target, dia.catalog(target)
+    stripped = target.strip()
+    if stripped.startswith("[") or stripped == dia.UNKNOT_TOKEN:
+        return "<pd>", dia.parse_pd(target)
+    raise dia.PdError(f"unknown catalog name {target!r} "
+                      f"(known: {', '.join(dia.catalog_names())})")
+
+
+def _resolve_target(target: str) -> tuple[str, dia.PlanarDiagram]:
+    label, pd = _resolve_code(target)
+    return label, dia.build_diagram(pd)
 
 
 def _parse_site(spec: str) -> dia.MoveSite:
@@ -250,28 +250,26 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_moves(args) -> int:
-    label, d = _resolve_target(args.target)
+    _, pd = _resolve_code(args.target)
     if args.random < 0:
         return _fail("--random must be at least 0", EXIT_INPUT)
     applied = []
     for spec in args.site or []:
-        site = _parse_site(spec)
-        d = dia.apply_move(d, site)
+        pd = dia.apply_move_pd(pd, _parse_site(spec))
         applied.append(spec)
     if args.random:
         import random
         rng = random.Random(args.seed)
         for _ in range(args.random):
-            site = dia.random_move_site(d, rng)
-            d = dia.apply_move(d, site)
+            site = dia.random_move_site_pd(pd, rng)
+            pd = dia.apply_move_pd(pd, site)
             applied.append(f"{site.kind}:{','.join(map(str, site.edges))}")
-    payload = d.pd.to_json_dict()
     if args.json:
-        _emit_json(payload)
+        _emit_json(pd.to_json_dict())
         return EXIT_OK
     print(f"applied: {'; '.join(applied) if applied else '(none)'}")
-    print(f"crossings: {d.n_crossings}  arcs: {d.n_arcs}")
-    print(f"pd: {d.pd}")
+    print(f"crossings: {pd.n_crossings}  arcs: {dia.build_diagram(pd).n_arcs}")
+    print(f"pd: {pd}")
     return EXIT_OK
 
 

@@ -8,6 +8,13 @@ the over-strand, and each crossing contributes the relation
 
 The crossing-free unknot cannot be written as a PD code; it is admitted
 through the special token "unknot" and carries a single arc.
+
+Reidemeister moves rewrite PD codes (apply_move_pd): each move
+renumbers and validates its result.  A PdCode keeps the faces its
+planarity check traced, so choosing a move site and applying the move
+read them without tracing again.  A PlanarDiagram (arcs and relations)
+is built only where it is read: apply_move builds one per move,
+random_variants one per variant.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import json
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 
 UNKNOT_TOKEN = "unknot"
 
@@ -45,7 +53,11 @@ def _is_label(e) -> bool:
 
 @dataclass(frozen=True)
 class PdCode:
-    """Validated PD code; labels are 1..E with every label used exactly twice."""
+    """Validated PD code; labels are 1..E with every label used exactly twice.
+
+    The slot permutation and faces traced by the planarity check stay on
+    the code as cached properties; they take no part in equality or hashing.
+    """
 
     crossings: tuple[tuple[int, int, int, int], ...]
 
@@ -59,10 +71,20 @@ class PdCode:
         counts = _label_counts(self.crossings)
         if counts and sorted(counts) != list(range(1, len(counts) + 1)):
             raise PdError("edge labels must form 1..E with no gaps")
-        genus = _genus(self.crossings)
+        genus = _genus(self.mates, self.faces)
         if genus:
             raise PdError(f"no planar diagram has this PD code: it needs a surface "
                           f"of genus {genus}")
+
+    @cached_property
+    def mates(self) -> tuple[int, ...]:
+        """Slot permutation of the edges, as built by _mates."""
+        return _mates(self.crossings)
+
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """Faces of the diagram as slot cycles, as traced by _faces."""
+        return _faces(self.mates)
 
     @property
     def n_crossings(self) -> int:
@@ -93,7 +115,7 @@ def _label_counts(crossings) -> Counter:
     return counts
 
 
-def _mates(crossings) -> list[int]:
+def _mates(crossings) -> tuple[int, ...]:
     """Slot 4c + i is position i of crossing c; mate[s] is the slot at the
     other end of the edge in slot s."""
     mate = [0] * (4 * len(crossings))
@@ -104,10 +126,10 @@ def _mates(crossings) -> list[int]:
             open_end[e] = s
         else:
             mate[s], mate[t] = t, s
-    return mate
+    return tuple(mate)
 
 
-def _faces(mate: list[int]) -> list[list[int]]:
+def _faces(mate) -> tuple[tuple[int, ...], ...]:
     """Faces of the diagram, each as the cycle of slots its walk leaves by.
 
     Slots are listed counterclockwise at each crossing, so walking the
@@ -128,22 +150,22 @@ def _faces(mate: list[int]) -> list[list[int]]:
             seen[s] = True
             face.append(s)
             s = step[s]
-        faces.append(face)
-    return faces
+        faces.append(tuple(face))
+    return tuple(faces)
 
 
-def _genus(crossings) -> int:
+def _genus(mate, faces) -> int:
     """Total genus of the surfaces the PD code's crossing graph embeds in.
 
     Each connected component has V - E + F = 2 - 2g with E = 2V, so the
     genera sum to (2k - F + V) / 2 over k components, and the code is
     planar exactly when that sum is 0.
     """
-    mate = _mates(crossings)
+    n_crossings = len(mate) // 4
     neighbor = [t // 4 for t in mate]
-    reached = [False] * len(crossings)
+    reached = [False] * n_crossings
     components = 0
-    for root in range(len(crossings)):
+    for root in range(n_crossings):
         if reached[root]:
             continue
         components += 1
@@ -155,7 +177,7 @@ def _genus(crossings) -> int:
                 if not reached[n]:
                     reached[n] = True
                     stack.append(n)
-    return (2 * components - len(_faces(mate)) + len(crossings)) // 2
+    return (2 * components - len(faces) + n_crossings) // 2
 
 
 def parse_pd(text: str) -> PdCode:
@@ -267,39 +289,37 @@ class MoveSite:
 
 def apply_move(d: PlanarDiagram, site: MoveSite) -> PlanarDiagram:
     """Apply a Reidemeister move, returning a new diagram with edges renumbered 1..E'."""
-    handlers = {
-        R1_INSERT: _r1_insert,
-        R1_DELETE: _r1_delete,
-        R2_INSERT: _r2_insert,
-        R2_DELETE: _r2_delete,
-        R3: _r3,
-    }
-    quads = handlers[site.kind](d, site)
-    return build_diagram(PdCode(_renumber(quads)))
+    return build_diagram(apply_move_pd(d.pd, site))
+
+
+def apply_move_pd(pd: PdCode, site: MoveSite) -> PdCode:
+    """apply_move on the code alone: the move, renumbering and validation,
+    without building the diagram."""
+    return PdCode(_renumber(_MOVE_HANDLERS[site.kind](pd, site)))
 
 
 def _occurrences(quads, edge):
     return [(ci, slot) for ci, q in enumerate(quads) for slot in range(4) if q[slot] == edge]
 
 
-def _require_edge(d: PlanarDiagram, edge: int):
-    if edge not in d.pd.edges():
+def _require_edge(pd: PdCode, edge: int):
+    if edge not in pd.edges():
         raise MoveError(f"edge {edge} does not exist in the diagram")
 
 
-def _r1_insert(d: PlanarDiagram, site: MoveSite):
+def _r1_insert(pd: PdCode, site: MoveSite):
     if not site.edges:
         raise MoveError("R1_insert needs an edge")
-    if d.pd.n_crossings == 0:
+    if pd.n_crossings == 0:
         # kink the bare unknot; both chiralities give a one-arc diagram
         return [(2, 1, 1, 2)] if site.over else [(1, 2, 2, 1)]
     e = site.edges[0]
-    _require_edge(d, e)
-    quads = [list(q) for q in d.pd.crossings]
+    _require_edge(pd, e)
+    quads = [list(q) for q in pd.crossings]
     occ = _occurrences(quads, e)
     ci, slot = occ[1]  # kink sits at the second occurrence; the first keeps label e
-    f = d.pd.n_edges + 1
-    g = d.pd.n_edges + 2
+    f = pd.n_edges + 1
+    g = pd.n_edges + 2
     quads[ci][slot] = f
     quads.append([g, e, f, g] if site.over else [e, g, g, f])
     return [tuple(q) for q in quads]
@@ -314,12 +334,12 @@ def _kink_slots(q, loop_edge):
     return None
 
 
-def _r1_delete(d: PlanarDiagram, site: MoveSite):
+def _r1_delete(pd: PdCode, site: MoveSite):
     if not site.edges:
         raise MoveError("R1_delete needs the loop edge")
     g = site.edges[0]
-    _require_edge(d, g)
-    quads = [tuple(q) for q in d.pd.crossings]
+    _require_edge(pd, g)
+    quads = [tuple(q) for q in pd.crossings]
     for ci, q in enumerate(quads):
         slots = _kink_slots(q, g)
         if slots:
@@ -330,7 +350,7 @@ def _r1_delete(d: PlanarDiagram, site: MoveSite):
     raise MoveError(f"edge {g} is not the loop of a kink")
 
 
-def _r2_insert(d: PlanarDiagram, site: MoveSite):
+def _r2_insert(pd: PdCode, site: MoveSite):
     """Push a finger of strand x over strand y inside a face both border.
 
     Draw the face with y along its top running east and x along its
@@ -344,11 +364,11 @@ def _r2_insert(d: PlanarDiagram, site: MoveSite):
     x, y = site.edges
     if x == y:
         raise MoveError("R2_insert needs two distinct edges")
-    _require_edge(d, x)
-    _require_edge(d, y)
-    quads = [list(q) for q in d.pd.crossings]
-    mate = _mates(d.pd.crossings)
-    for face in _faces(mate):
+    _require_edge(pd, x)
+    _require_edge(pd, y)
+    quads = [list(q) for q in pd.crossings]
+    mate = pd.mates
+    for face in pd.faces:
         labels = [quads[s // 4][s % 4] for s in face]
         if x in labels and y in labels:
             x_west_end = divmod(mate[face[labels.index(x)]], 4)
@@ -356,7 +376,7 @@ def _r2_insert(d: PlanarDiagram, site: MoveSite):
             break
     else:
         raise MoveError(f"edges {x} and {y} share no face, so no R2 move joins them")
-    n = d.pd.n_edges
+    n = pd.n_edges
     top, x_west, y_mid, y_west = n + 1, n + 2, n + 3, n + 4
     quads[x_west_end[0]][x_west_end[1]] = x_west
     quads[y_west_end[0]][y_west_end[1]] = y_west
@@ -365,12 +385,12 @@ def _r2_insert(d: PlanarDiagram, site: MoveSite):
     return [tuple(q) for q in quads]
 
 
-def _r2_delete(d: PlanarDiagram, site: MoveSite):
+def _r2_delete(pd: PdCode, site: MoveSite):
     if not site.edges:
         raise MoveError("R2_delete needs the over middle edge")
     u = site.edges[0]
-    _require_edge(d, u)
-    quads = [tuple(q) for q in d.pd.crossings]
+    _require_edge(pd, u)
+    quads = [tuple(q) for q in pd.crossings]
     occ = _occurrences(quads, u)
     if not all(slot in _OVER_SLOTS for _, slot in occ):
         raise MoveError(f"edge {u} is not an over middle edge")
@@ -443,13 +463,13 @@ def _pair_slots(q, kind):
     return (q[slots[0]], q[slots[1]])
 
 
-def _r3(d: PlanarDiagram, site: MoveSite):
+def _r3(pd: PdCode, site: MoveSite):
     """Slide the strand carrying `t` across the crossing of the two strands under (or over) it."""
     if not site.edges:
         raise MoveError("R3 needs the middle edge of the sliding strand")
     t = site.edges[0]
-    _require_edge(d, t)
-    quads = [tuple(q) for q in d.pd.crossings]
+    _require_edge(pd, t)
+    quads = [tuple(q) for q in pd.crossings]
     occ = _occurrences(quads, t)
     (xi, _), (yi, _) = occ
     if xi == yi:
@@ -464,7 +484,7 @@ def _r3(d: PlanarDiagram, site: MoveSite):
 
     # the three strands must bound a face, or the slide crosses other strands
     triangles = {frozenset(quads[s // 4][s % 4] for s in f)
-                 for f in _faces(_mates(quads)) if len(f) == 3}
+                 for f in pd.faces if len(f) == 3}
     x_pair = _pair_slots(quads[xi], other_side)
     y_pair = _pair_slots(quads[yi], other_side)
     for a in x_pair:
@@ -552,29 +572,48 @@ def _renumber(quads):
     return tuple(tuple(mapping[e] for e in q) for q in quads)
 
 
+_MOVE_HANDLERS = {
+    R1_INSERT: _r1_insert,
+    R1_DELETE: _r1_delete,
+    R2_INSERT: _r2_insert,
+    R2_DELETE: _r2_delete,
+    R3: _r3,
+}
+
+
 def random_move_site(d: PlanarDiagram, rng: random.Random) -> MoveSite:
     """A random R1 insertion site, or an R2 insertion site on two edges of a random face."""
-    edges = list(d.pd.edges())
+    return random_move_site_pd(d.pd, rng)
+
+
+def random_move_site_pd(pd: PdCode, rng: random.Random) -> MoveSite:
+    """random_move_site on the code alone, reading its cached faces."""
+    edges = list(pd.edges())
     if len(edges) < 2:
         return MoveSite(R1_INSERT, (1,), over=rng.random() < 0.5)
     if rng.random() < 0.5:
         return MoveSite(R1_INSERT, (rng.choice(edges),), over=rng.random() < 0.5)
-    quads = d.pd.crossings
-    faces = [sorted({quads[s // 4][s % 4] for s in f}) for f in _faces(_mates(quads))]
+    quads = pd.crossings
+    faces = [sorted({quads[s // 4][s % 4] for s in f}) for f in pd.faces]
     x, y = rng.sample(rng.choice([f for f in faces if len(f) > 1]), 2)
     return MoveSite(R2_INSERT, (x, y))
 
 
 def random_variants(d: PlanarDiagram, count: int, moves_per_variant: int = 3,
                     seed: int = 0) -> list[PlanarDiagram]:
-    """Seeded R1/R2-derived variants of a diagram (same link type)."""
+    """Seeded R1/R2-derived variants of a diagram (same link type).
+
+    Each variant chains its moves on PD codes, every one validated and
+    renumbered as by apply_move, and builds its diagram once at the end,
+    so the variants equal those of chaining apply_move.
+    """
     rng = random.Random(seed)
     variants = []
     for _ in range(count):
-        cur = d
+        pd = d.pd
         for _ in range(moves_per_variant):
-            cur = apply_move(cur, random_move_site(cur, rng))
-        variants.append(cur)
+            pd = apply_move_pd(pd, random_move_site_pd(pd, rng))
+        variants.append(build_diagram(pd))
     return variants
 
 

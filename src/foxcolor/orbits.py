@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from math import gcd
 from operator import attrgetter
@@ -84,6 +85,12 @@ class GroupSpec:
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def tables(self) -> tuple[tuple[int, ...], ...]:
+        """Each element as a permutation table of 0..m-1, built on first use;
+        no part of equality or hashing."""
+        return tuple(g.as_permutation() for g in self.elements)
 
 
 def check_group(kind: str, m: int) -> str:
@@ -166,13 +173,15 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
     upstream bug and raise.  Representatives are the lexicographically
     least members and orbits are listed in representative order.
 
-    Each group element becomes a permutation table once.  The colorings
-    are scanned in sorted order, and the first one not yet seen is the
-    least of its orbit, since a smaller member would have been reached
-    first and marked its whole orbit seen.  Only that representative is
-    mapped, by one table lookup per arc and element, so the cost after
-    the sort is O(|G| * arcs) per orbit: linear in the number of
-    colorings when the action is free.
+    The group's permutation tables (GroupSpec.tables) are built once per
+    group, on the first call that gets a coloring, and shared by every
+    later partition under it; an empty input never builds them.  The
+    colorings are scanned in sorted order, and the first one not yet
+    seen is the least of its orbit, since a smaller member would have
+    been reached first and marked its whole orbit seen.  Only that
+    representative is mapped, by one table lookup per arc and element,
+    so the cost after the sort is O(|G| * arcs) per orbit: linear in the
+    number of colorings when the action is free.
     """
     colorings = list(colorings)
     for c in colorings:
@@ -181,7 +190,7 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
     pool = {c.values for c in colorings}
     if len(pool) != len(colorings):
         raise ValueError("duplicate colorings in input")
-    tables = [g.as_permutation() for g in group.elements]
+    tables = group.tables if colorings else ()
     orbits = []
     seen: set[tuple[int, ...]] = set()
     for c in sorted(colorings, key=attrgetter("values")):

@@ -29,6 +29,15 @@ class TestAnalyze:
         assert "nullity mod 3     2" in out
         assert "9 (6 non-trivial)" in out
 
+    def test_pd_literal_with_surrounding_whitespace(self, capsys):
+        for target in (" " + TREFOIL, TREFOIL + "\n", "\t" + TREFOIL + " "):
+            code, out, _ = run(capsys, "analyze", target)
+            assert code == 0, repr(target)
+            assert "determinant       3" in out
+        code, _, err = run(capsys, "analyze", " nope")
+        assert code == 1
+        assert "unknown catalog name" in err
+
     def test_figure8_determinant(self, capsys):
         code, out, _ = run(capsys, "analyze", "4_1")
         assert code == 0
