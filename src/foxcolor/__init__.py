@@ -9,9 +9,9 @@ from .linalg import (IntegerMatrix, ModularKernel, SmithDecomposition,
                      minor_gcd_factors, smith_normal_form, solve_mod)
 from .coloring import (Coloring, ColoringMatrix, ColoringProfile,
                        EnumerationBudgetError, brute_force_colorings,
-                       brute_force_count, coloring_matrix, count_colorings,
-                       enumerate_colorings, extend_coloring, generating_arcs,
-                       link_determinant, p_nullity, profile)
+                       coloring_matrix, count_colorings, enumerate_colorings,
+                       extend_coloring, generating_arcs, link_determinant,
+                       p_nullity, profile)
 from .orbits import (AffineMap, GroupSpec, Orbit, OrbitPartition, VerifyReport,
                      apply_map, apply_permutation_unchecked, build_group,
                      orbit_partition, predicted_class_count, prime_classes,
@@ -25,8 +25,8 @@ __all__ = [
     "MoveError", "MoveSite", "Orbit", "OrbitPartition", "PdCode", "PdError",
     "PlanarDiagram", "SmithDecomposition", "VerifyReport", "apply_map",
     "apply_move", "apply_permutation_unchecked", "brute_force_colorings",
-    "brute_force_count", "build_diagram", "build_group", "catalog",
-    "catalog_names", "coloring_matrix", "count_colorings",
+    "build_diagram", "build_group", "catalog", "catalog_names",
+    "coloring_matrix", "count_colorings",
     "enumerate_colorings", "extend_coloring", "generating_arcs",
     "link_determinant", "minor_gcd_factors", "orbit_partition", "parse_pd",
     "p_nullity", "predicted_class_count", "prime_classes", "profile", "random_variants",

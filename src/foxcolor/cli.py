@@ -81,10 +81,10 @@ def _resolve_code(target: str) -> tuple[str, dia.PdCode]:
     if target.startswith("@"):
         with open(target[1:], encoding="utf-8") as fh:
             return target[1:], dia.parse_pd(fh.read())
-    if target in dia.catalog_names():
-        return target, dia.catalog(target)
     stripped = target.strip()
-    if stripped.startswith("[") or stripped == dia.UNKNOT_TOKEN:
+    if stripped in dia.catalog_names():
+        return stripped, dia.catalog(stripped)
+    if stripped.startswith("["):
         return "<pd>", dia.parse_pd(target)
     raise dia.PdError(f"unknown catalog name {target!r} "
                       f"(known: {', '.join(dia.catalog_names())})")

@@ -5,11 +5,15 @@ Each crossing contributes the equation
 on the arc variables.  The Smith form of the resulting integer matrix
 yields the link determinant, the mod-p nullity, and exact coloring counts
 for any modulus; kernel enumeration produces the colorings themselves.
+
+brute_force_colorings is the oracle that shares no code with the Smith
+form: a backtracking search over all m^arcs assignments (refused when
+m^arcs exceeds its budget) that sets the arcs breadth-first over shared
+crossings and tests each crossing equation once its last arc is set.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -17,8 +21,7 @@ from .diagram import PlanarDiagram
 from .linalg import IntegerMatrix, SmithDecomposition, smith_normal_form, solve_mod
 
 ENUMERATION_BUDGET = 10 ** 6
-BRUTE_FORCE_BUDGET = 10 ** 7
-BRUTE_COUNT_BUDGET = 10 ** 8
+BRUTE_FORCE_BUDGET = 10 ** 8
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
@@ -217,43 +220,46 @@ def enumerate_colorings(d: PlanarDiagram, m: int, nontrivial_only: bool = False,
 
 def brute_force_colorings(d: PlanarDiagram, m: int,
                           budget: int = BRUTE_FORCE_BUDGET) -> list[Coloring]:
-    """Oracle: test every one of the m^arcs assignments against the equations."""
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    if m ** d.n_arcs > budget:
-        raise EnumerationBudgetError(f"{m}^{d.n_arcs} assignments exceed budget {budget}")
-    rels = d.crossing_relations
-    out = []
-    for values in itertools.product(range(m), repeat=d.n_arcs):
-        if all((values[i] + values[k] - 2 * values[j]) % m == 0 for i, k, j in rels):
-            out.append(Coloring(m, values))
-    return out
+    """Oracle: the assignments mod m that satisfy every crossing equation, sorted.
 
-
-def brute_force_count(d: PlanarDiagram, m: int, budget: int = BRUTE_COUNT_BUDGET,
-                      chunk: int = 1 << 20) -> int:
-    """Oracle count over all m^arcs assignments, vectorized in chunks."""
-    import numpy as np  # imported here so that the command line never loads numpy
-
+    An exhaustive backtracking search.  Arcs are set breadth-first over
+    shared crossings, one component after another, each from its lowest
+    arc, and each takes every value 0..m-1 in turn.  A crossing equation is
+    tested once, when the last of its three arcs is set, and only a failed
+    test cuts a branch.  The budget bounds m^arcs, the number of leaves of
+    the unpruned tree, and is checked before any search.
+    """
     if m < 2:
         raise ValueError("modulus must be at least 2")
     n = d.n_arcs
-    total = m ** n
-    if total > budget:
+    if m ** n > budget:
         raise EnumerationBudgetError(f"{m}^{n} assignments exceed budget {budget}")
     rels = d.crossing_relations
-    if not rels:
-        return total
-    count = 0
-    powers = [m ** t for t in range(n)]
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        digits = [(idx // powers[t]) % m for t in range(n)]
-        ok = np.ones(idx.shape, dtype=bool)
-        for i, k, j in rels:
-            ok &= (digits[i] + digits[k] - 2 * digits[j]) % m == 0
-        count += int(ok.sum())
-    return count
+    order: list[int] = []
+    for start in range(n):
+        if start not in order:
+            order.append(start)
+            for a in order:  # also reaches the arcs appended below: breadth-first
+                order += sorted({b for rel in rels if a in rel for b in rel}.difference(order))
+    depth = {arc: t for t, arc in enumerate(order)}
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for rel in rels:
+        checks[max(depth[a] for a in rel)].append(rel)
+    values = [0] * n
+    found: list[tuple[int, ...]] = []
+
+    def search(t: int) -> None:
+        if t == n:
+            found.append(tuple(values))
+            return
+        arc, tests = order[t], checks[t]
+        for v in range(m):
+            values[arc] = v
+            if all((values[i] + values[k] - 2 * values[j]) % m == 0 for i, k, j in tests):
+                search(t + 1)
+
+    search(0)
+    return [Coloring(m, x) for x in sorted(found)]
 
 
 def _rref_mod_p(matrix: IntegerMatrix, p: int):

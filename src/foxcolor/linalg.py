@@ -51,10 +51,6 @@ class IntegerMatrix:
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     def __getitem__(self, pos: tuple[int, int]) -> int:
         i, j = pos
         return self.entries[i][j]
@@ -70,11 +66,6 @@ class IntegerMatrix:
         if not data:
             return IntegerMatrix(self.rows, other.cols, ())
         return IntegerMatrix(self.rows, other.cols, data)
-
-    def transpose(self) -> "IntegerMatrix":
-        if self.rows == 0:
-            return IntegerMatrix(self.cols, 0, tuple(() for _ in range(self.cols)))
-        return IntegerMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -147,10 +138,6 @@ class SmithDecomposition:
         n = self.shape[1]
         cols = (_dense(col, n) for col in _replay(n, self.col_ops))
         return IntegerMatrix(n, n, tuple(zip(*cols)))
-
-    @property
-    def diagonal_length(self) -> int:
-        return min(self.shape)
 
     def padded_factors(self) -> tuple[int, ...]:
         """Invariant factors extended with zeros to one entry per column.

@@ -34,9 +34,15 @@ class TestAnalyze:
             code, out, _ = run(capsys, "analyze", target)
             assert code == 0, repr(target)
             assert "determinant       3" in out
-        code, _, err = run(capsys, "analyze", " nope")
-        assert code == 1
-        assert "unknown catalog name" in err
+        _, expected, _ = run(capsys, "analyze", "3_1")
+        for target in (" 3_1", "3_1\n"):
+            code, out, _ = run(capsys, "analyze", target)
+            assert code == 0, repr(target)
+            assert out == expected
+        for target in (" nope", " 3_x"):
+            code, _, err = run(capsys, "analyze", target)
+            assert code == 1, repr(target)
+            assert "unknown catalog name" in err
 
     def test_figure8_determinant(self, capsys):
         code, out, _ = run(capsys, "analyze", "4_1")
@@ -377,7 +383,7 @@ class TestJsonWriter:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy serves one test oracle; the command line must not pay ~0.1 s for it
+    # keeps numpy, or any runtime dependency, out of the command line (~0.1 s to import)
     src = str(Path(foxcolor.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     check = "import sys, foxcolor.cli; sys.exit('numpy' in sys.modules)"

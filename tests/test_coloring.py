@@ -4,8 +4,7 @@ from math import gcd, isqrt
 import pytest
 
 from foxcolor.coloring import (MILLER_RABIN_BOUND, Coloring, EnumerationBudgetError,
-                               brute_force_colorings, brute_force_count,
-                               coloring_matrix, count_colorings,
+                               brute_force_colorings, coloring_matrix, count_colorings,
                                enumerate_colorings, extend_coloring,
                                generating_arcs, is_odd_prime, link_determinant,
                                p_nullity, profile)
@@ -259,20 +258,14 @@ class TestBruteForceOracle:
         for m in mods:
             assert set(enumerate_colorings(d, m)) == set(brute_force_colorings(d, m))
 
-    def test_vectorized_count_matches_listing(self):
-        for name in ("3_1", "4_1", "5_1"):
-            d = build_diagram(catalog(name))
-            for m in (2, 3, 5, 6):
-                assert brute_force_count(d, m) == len(brute_force_colorings(d, m))
-
     def test_budget_guards(self):
         with pytest.raises(EnumerationBudgetError):
             brute_force_colorings(KNOT940, 12)
         with pytest.raises(EnumerationBudgetError):
-            brute_force_count(KNOT940, 12, budget=10 ** 6)
+            brute_force_colorings(KNOT940, 12, budget=10 ** 6)
 
     def test_unknot_count(self):
-        assert brute_force_count(UNKNOT, 9) == 9
+        assert len(brute_force_colorings(UNKNOT, 9)) == 9
 
 
 class TestPrimePowerCounts:
