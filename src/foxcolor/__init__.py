@@ -7,7 +7,7 @@ from .diagram import (MoveError, MoveSite, PdCode, PdError, PlanarDiagram,
                       parse_pd, random_variants)
 from .linalg import (IntegerMatrix, ModularKernel, SmithDecomposition,
                      minor_gcd_factors, smith_normal_form, solve_mod)
-from .coloring import (Coloring, ColoringMatrix, ColoringProfile,
+from .coloring import (Coloring, ColoringProfile,
                        EnumerationBudgetError, brute_force_colorings,
                        coloring_matrix, count_colorings, enumerate_colorings,
                        extend_coloring, generating_arcs, link_determinant,
@@ -20,7 +20,7 @@ from .orbits import (AffineMap, GroupSpec, Orbit, OrbitPartition, VerifyReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap", "Coloring", "ColoringMatrix", "ColoringProfile",
+    "AffineMap", "Coloring", "ColoringProfile",
     "EnumerationBudgetError", "GroupSpec", "IntegerMatrix", "ModularKernel",
     "MoveError", "MoveSite", "Orbit", "OrbitPartition", "PdCode", "PdError",
     "PlanarDiagram", "SmithDecomposition", "VerifyReport", "apply_map",

@@ -2,9 +2,11 @@
 
 Each crossing contributes the equation
     under_in + under_out - 2 * over = 0
-on the arc variables.  The Smith form of the resulting integer matrix
-yields the link determinant, the mod-p nullity, and exact coloring counts
-for any modulus; kernel enumeration produces the colorings themselves.
+on the arc variables.  Every diagram has a coloring matrix; the
+crossing-free one is the 0x1 matrix of its single arc.  The Smith form of
+that integer matrix yields the link determinant, the mod-p nullity, and
+exact coloring counts for any modulus; kernel enumeration produces the
+colorings themselves.
 
 brute_force_colorings is the oracle that shares no code with the Smith
 form: a backtracking search over all m^arcs assignments (refused when
@@ -29,14 +31,6 @@ MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 class EnumerationBudgetError(RuntimeError):
     """The requested enumeration exceeds the configured budget."""
-
-
-@dataclass(frozen=True)
-class ColoringMatrix:
-    """Integer coloring matrix: one row per crossing, one column per arc."""
-
-    matrix: IntegerMatrix
-    arcs: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True, order=True)
@@ -69,21 +63,12 @@ class ColoringProfile:
 
     invariant_factors: tuple[int, ...]
     determinant: int
-    n_arcs: int
-    smith: SmithDecomposition | None  # None only for the crossing-free unknot
+    smith: SmithDecomposition
 
     def nullity(self, p: int) -> int:
-        if self.smith is None:
-            if not is_odd_prime(p):
-                raise ValueError(f"p must be an odd prime, got {p}")
-            return 1
         return p_nullity(self.smith, p)
 
     def count(self, m: int) -> int:
-        if self.smith is None:
-            if m < 2:
-                raise ValueError("modulus must be at least 2")
-            return m
         return count_colorings(self.smith, m)
 
     def colorings(self, m: int, nontrivial_only: bool = False,
@@ -95,12 +80,6 @@ class ColoringProfile:
         nontrivial_only, constant colorings are dropped as the walk yields
         them.
         """
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        if self.smith is None:
-            if nontrivial_only:
-                return []
-            return [Coloring(m, (v,)) for v in range(m)]
         total = count_colorings(self.smith, m)
         if total > budget:
             raise EnumerationBudgetError(f"{total} colorings exceed budget {budget}")
@@ -110,16 +89,14 @@ class ColoringProfile:
         return [Coloring(m, x) for x in vectors]
 
 
-def coloring_matrix(d: PlanarDiagram) -> ColoringMatrix:
-    """Coloring matrix of a diagram with at least one crossing.
+def coloring_matrix(d: PlanarDiagram) -> IntegerMatrix:
+    """Coloring matrix of a diagram: one row per crossing, one column per arc.
 
     Column order follows the arc order of the diagram (sorted by smallest
     edge label), so the matrix is deterministic.  Coincident arcs at a
-    crossing accumulate, e.g. a kink row may come out all zero.
+    crossing accumulate, e.g. a kink row may come out all zero.  The
+    crossing-free diagram has one arc and no row: the 0x1 matrix.
     """
-    if d.n_crossings == 0:
-        raise ValueError("crossing-free diagram has no coloring matrix; "
-                         "the unknot is handled out of band")
     n = d.n_arcs
     rows = []
     for i, k, j in d.crossing_relations:
@@ -128,15 +105,14 @@ def coloring_matrix(d: PlanarDiagram) -> ColoringMatrix:
         row[k] += 1
         row[j] -= 2
         rows.append(tuple(row))
-    return ColoringMatrix(IntegerMatrix(len(rows), n, tuple(rows)), d.arcs)
+    return IntegerMatrix(len(rows), n, tuple(rows))
 
 
 def profile(d: PlanarDiagram) -> ColoringProfile:
-    """Smith-form summary of a diagram; the bare unknot gets the (0,) convention."""
-    if d.n_crossings == 0:
-        return ColoringProfile((0,), 1, 1, None)
-    sd = smith_normal_form(coloring_matrix(d).matrix)
-    return ColoringProfile(sd.invariant_factors, link_determinant(sd), d.n_arcs, sd)
+    """Smith-form summary of a diagram's coloring matrix, the unknot's 0x1 one included."""
+    sd = smith_normal_form(coloring_matrix(d))
+    # only a 0-row matrix has no factor; the crossing-free unknot reports (0,)
+    return ColoringProfile(sd.invariant_factors or (0,), link_determinant(sd), sd)
 
 
 def link_determinant(sd: SmithDecomposition) -> int:
@@ -294,9 +270,7 @@ def generating_arcs(d: PlanarDiagram, p: int) -> frozenset[int]:
     """
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if d.n_crossings == 0:
-        return frozenset({0})
-    pivots, _ = _rref_mod_p(coloring_matrix(d).matrix, p)
+    pivots, _ = _rref_mod_p(coloring_matrix(d), p)
     return frozenset(c for c in range(d.n_arcs) if c not in pivots)
 
 
@@ -307,11 +281,7 @@ def extend_coloring(d: PlanarDiagram, p: int, assignment: dict[int, int]) -> Col
     """
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if d.n_crossings == 0:
-        if set(assignment) != {0}:
-            raise ValueError("unknot has a single arc, index 0")
-        return Coloring(p, (assignment[0] % p,))
-    pivots, rows = _rref_mod_p(coloring_matrix(d).matrix, p)
+    pivots, rows = _rref_mod_p(coloring_matrix(d), p)
     free = [c for c in range(d.n_arcs) if c not in pivots]
     if set(assignment) != set(free):
         raise ValueError(f"assignment must cover exactly the generating arcs {sorted(free)}")

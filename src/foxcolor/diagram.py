@@ -581,13 +581,11 @@ _MOVE_HANDLERS = {
 }
 
 
-def random_move_site(d: PlanarDiagram, rng: random.Random) -> MoveSite:
-    """A random R1 insertion site, or an R2 insertion site on two edges of a random face."""
-    return random_move_site_pd(d.pd, rng)
-
-
 def random_move_site_pd(pd: PdCode, rng: random.Random) -> MoveSite:
-    """random_move_site on the code alone, reading its cached faces."""
+    """A random R1 insertion site, or an R2 insertion site on two edges of a random face.
+
+    Reads the faces the code cached when its planarity was checked.
+    """
     edges = list(pd.edges())
     if len(edges) < 2:
         return MoveSite(R1_INSERT, (1,), over=rng.random() < 0.5)

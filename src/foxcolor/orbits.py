@@ -228,17 +228,16 @@ def prime_classes(pr: ColoringProfile, kind: str, p: int) -> tuple[int, list[tup
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     size, lead_stop = (p * (p - 1), 2) if kind == AUT else (2 * p, (p + 1) // 2)
-    if pr.smith is None:
-        return size, []
     kernel = solve_mod(pr.smith, p)
     c = kernel.transform.entries
     basis = tuple(tuple(row[j] for row in c) for j, s in enumerate(kernel.sizes) if s == p)
-    _, rows = _rref_mod_p(IntegerMatrix(len(basis), pr.n_arcs, basis), p)
+    n_arcs = pr.smith.shape[1]
+    _, rows = _rref_mod_p(IntegerMatrix(len(basis), n_arcs, basis), p)
     rows = rows[1:]  # drop the constants' row, the one with pivot arc 0
     k = len(rows)
     if k == 0:
         return size, []
-    span = IntegerMatrix(pr.n_arcs, k, tuple(zip(*rows)))
+    span = IntegerMatrix(n_arcs, k, tuple(zip(*rows)))
     walk = ModularKernel(p, (1,) * k, (p,) * k, span).vectors()
     reps: list[tuple[int, ...]] = []
     done = 0

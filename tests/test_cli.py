@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,26 @@ from foxcolor.cli import main
 from foxcolor.diagram import parse_pd
 
 TREFOIL = "[[1,4,2,5],[3,6,4,1],[5,2,6,3]]"
+# sha256 of stdout before the crossing-free unknot went through the
+# Smith form of its 0x1 coloring matrix, when it was a special case
+UNKNOT_SHA256 = {
+    ("analyze", "unknot", "--json"):
+        "890c98614ac94d3bec9e554573c756ba738a01071e2171c85cfd3f895a42dfee",
+    ("analyze", "unknot", "--mod", "9"):
+        "6dc48baa1e0d7fb662a458638cf370a2e79df278a430ec06d7b7f2247028ea8c",
+    ("classes", "unknot", "--mod", "5", "--json"):
+        "86df3735bb7acf04b1f922d5f9e910971d3c76138480ed118fcf746624c5b7e5",
+    ("enumerate", "unknot", "--mod", "7", "--all", "--json"):
+        "3adc2232fdaa3eb40225cdab45c22b457292388ec33b09b1d778c9306a19ceed",
+    ("verify", "unknot", "--primes", "3,5,7", "--json"):
+        "6c40a6f0c8cfc6b8028ad32f52eddf029bcdab057f8301142a8567d4181bc84b",
+    ("enumerate", "unknot", "--mod", "7"):
+        "70212fb94ff42449fe322949570995df73e88e52b8d519265f89b63f12679f28",
+    ("classes", "unknot", "--mod", "7"):
+        "24e2b06fee07722b71276e792b85f30e1c48e1a9db451684ed0bdb295a75bc81",
+    ("verify", "unknot", "--primes", "5"):
+        "628415f89be075bd717fa6ed64493676644da71fe9abd108e7890d443fbfd980",
+}
 
 
 def run(capsys, *argv):
@@ -217,6 +238,21 @@ class TestEnumerate:
         assert out == ""
         assert "--budget" in err
 
+    @pytest.mark.parametrize("verb, args", [
+        ("enumerate", ("--mod", "7")),
+        ("classes", ("--mod", "7")),
+        ("verify", ("--primes", "5")),
+    ], ids=("enumerate", "classes", "verify"))
+    def test_unknot_obeys_budget(self, capsys, verb, args):
+        # the unknot has as many colorings as the trefoil here (7 mod 7,
+        # 5 mod 5), and exceeds a budget below that count the same way
+        code, out, err = run(capsys, verb, "unknot", *args, "--budget", "3")
+        assert (code, out) == (2, "")
+        assert run(capsys, verb, "3_1", *args, "--budget", "3") == (2, "", err)
+        code, out, _ = run(capsys, verb, "unknot", *args, "--budget", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == UNKNOT_SHA256[(verb, "unknot", *args)]
+
 
 class TestVerify:
     def test_figure8(self, capsys):
@@ -380,6 +416,13 @@ class TestJsonWriter:
     def test_edge_cases(self, capsys, obj):
         cli._emit_json(obj)
         assert capsys.readouterr().out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", list(UNKNOT_SHA256))
+def test_unknot_stdout_bytes(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == UNKNOT_SHA256[argv]
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -11,6 +11,7 @@ from foxcolor.coloring import (MILLER_RABIN_BOUND, Coloring, EnumerationBudgetEr
 from foxcolor.diagram import (MoveError, MoveSite, apply_move, build_diagram, catalog,
                               catalog_names, parse_pd)
 from foxcolor.linalg import IntegerMatrix, smith_normal_form
+from foxcolor.orbits import prime_classes
 
 TREFOIL = build_diagram(catalog("3_1"))
 FIGURE8 = build_diagram(catalog("4_1"))
@@ -19,50 +20,46 @@ UNKNOT = build_diagram(catalog("unknot"))
 
 
 def smith_of(d):
-    return smith_normal_form(coloring_matrix(d).matrix)
+    return smith_normal_form(coloring_matrix(d))
 
 
 class TestColoringMatrix:
     def test_trefoil_exact(self):
-        cm = coloring_matrix(TREFOIL)
-        assert cm.matrix == IntegerMatrix.from_rows([[1, 1, -2], [-2, 1, 1], [1, -2, 1]])
-        assert cm.arcs == (frozenset({1, 6}), frozenset({2, 3}), frozenset({4, 5}))
+        assert coloring_matrix(TREFOIL) == IntegerMatrix.from_rows(
+            [[1, 1, -2], [-2, 1, 1], [1, -2, 1]])
 
     def test_rows_sum_to_zero_everywhere(self):
         for name in catalog_names():
             d = build_diagram(catalog(name))
-            if d.n_crossings == 0:
-                continue
-            for row in coloring_matrix(d).matrix.entries:
+            for row in coloring_matrix(d).entries:
                 assert sum(row) == 0
 
     def test_figure8_shape(self):
         cm = coloring_matrix(FIGURE8)
-        assert cm.matrix.rows == cm.matrix.cols == 4
-        for row in cm.matrix.entries:
+        assert cm.rows == cm.cols == 4
+        for row in cm.entries:
             nonzero = sorted(x for x in row if x)
             assert nonzero == [-2, 1, 1]
 
     def test_square_determinant_zero(self):
         for name in ("3_1", "4_1", "5_2", "9_40"):
             d = build_diagram(catalog(name))
-            assert coloring_matrix(d).matrix.det() == 0
+            assert coloring_matrix(d).det() == 0
 
     def test_kinked_unknot_row(self):
         kinked = apply_move(UNKNOT, MoveSite("R1_insert", (1,)))
-        cm = coloring_matrix(kinked)
-        assert cm.matrix == IntegerMatrix.from_rows([[0]])
+        assert coloring_matrix(kinked) == IntegerMatrix.from_rows([[0]])
 
-    def test_unknot_rejected(self):
-        with pytest.raises(ValueError):
-            coloring_matrix(UNKNOT)
+    def test_unknot_is_zero_by_one(self):
+        # one arc and no crossing equation
+        assert coloring_matrix(UNKNOT) == IntegerMatrix(0, 1, ())
 
     def test_more_arcs_than_crossings(self):
         # a component that never passes under keeps its edges in one arc,
         # leaving a non-square matrix; unconstrained columns act like zeros
         d = build_diagram(parse_pd("[[1,3,2,4],[2,3,1,4]]"))
         assert (d.n_crossings, d.n_arcs) == (2, 3)
-        sd = smith_normal_form(coloring_matrix(d).matrix)
+        sd = smith_normal_form(coloring_matrix(d))
         assert sd.invariant_factors == (1, 0)
         assert sd.padded_factors() == (1, 0, 0)
         for m in (2, 3, 5):
@@ -96,7 +93,7 @@ class TestDeterminant:
             d = build_diagram(catalog(name))
             if d.n_crossings == 0:
                 continue
-            m = coloring_matrix(d).matrix
+            m = coloring_matrix(d)
             det = link_determinant(smith_of(d))
             n = m.rows
             rows = list(range(1, n))
@@ -110,6 +107,14 @@ class TestDeterminant:
         assert pr.invariant_factors == (0,)
         assert pr.nullity(3) == 1
         assert pr.count(7) == 7
+        assert pr.smith.shape == (0, 1)
+        assert pr.colorings(7) == [Coloring(7, (v,)) for v in range(7)]
+        assert pr.colorings(7, nontrivial_only=True) == []
+        for p in (3, 5, 7):
+            assert prime_classes(pr, "aut", p) == (p * (p - 1), [])
+            assert prime_classes(pr, "inn", p) == (2 * p, [])
+        assert generating_arcs(UNKNOT, 5) == frozenset({0})
+        assert extend_coloring(UNKNOT, 5, {0: 9}) == Coloring(5, (4,))
 
 
 class TestNullity:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from foxcolor.diagram import (MOVE_KINDS, MoveError, MoveSite, PdCode, PdError,
                               R2_INSERT, R3, apply_move, build_diagram, catalog,
-                              catalog_names, parse_pd, random_move_site, random_variants)
+                              catalog_names, parse_pd, random_move_site_pd, random_variants)
 from foxcolor.coloring import profile
 
 TREFOIL = "[[1,4,2,5],[3,6,4,1],[5,2,6,3]]"
@@ -319,7 +319,7 @@ class TestMoveHygiene:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(catalog_names()), st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
     def test_random_moves_stay_planar_and_keep_counts(self, name, seed, n_moves):
-        # random_move_site draws R1/R2 insertions; an R3 slide across a
+        # random_move_site_pd draws R1/R2 insertions; an R3 slide across a
         # triangular face is taken instead half the time one applies
         rng = random.Random(seed)
         d = build_diagram(catalog(name))
@@ -334,7 +334,7 @@ class TestMoveHygiene:
             if slides and rng.random() < 0.5:
                 d = rng.choice(slides)
             else:
-                d = apply_move(d, random_move_site(d, rng))
+                d = apply_move(d, random_move_site_pd(d.pd, rng))
             assert PdCode(d.pd.crossings) == d.pd
             assert [profile(d).count(m) for m in range(2, 12)] == counts, (name, seed)
 
