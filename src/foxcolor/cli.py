@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import diagram as dia
 from . import coloring as col
@@ -34,15 +35,17 @@ def _json_parts(obj, out: list, indent: str) -> None:
     """Append the text of json.dumps(obj, indent=2, sort_keys=True) to out.
 
     With an indent, json.dumps runs its pure-Python encoder on every
-    value.  Here containers are laid out in that same form, dict keys must
-    be strings, and each scalar goes through json.dumps in one C call; a
-    list of plain ints (not bools) is written by one join.
+    value.  Here containers are laid out in that same form and each
+    scalar is one C call: dict keys, which must be strings, through
+    encode_basestring_ascii (what json.dumps does with a str), values of
+    type exactly int (not bool) through int.__repr__, anything else
+    through json.dumps.  A list of plain ints is written by one join.
     """
     if isinstance(obj, dict) and obj:
         inner = indent + "  "
         sep = "{\n" + inner
         for key in sorted(obj):
-            out.append(sep + json.dumps(key) + ": ")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
             _json_parts(obj[key], out, inner)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
@@ -58,6 +61,8 @@ def _json_parts(obj, out: list, indent: str) -> None:
             _json_parts(item, out, inner)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
     else:
         out.append(json.dumps(obj))
 

@@ -17,6 +17,7 @@ crossings and tests each crossing equation once its last arc is set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from math import gcd
 
 from .diagram import PlanarDiagram
@@ -33,7 +34,7 @@ class EnumerationBudgetError(RuntimeError):
     """The requested enumeration exceeds the configured budget."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Coloring:
     """Assignment of residues mod `modulus` to arcs, indexed by arc column."""
 
@@ -76,16 +77,23 @@ class ColoringProfile:
         """All m-colorings in a deterministic order.
 
         The order is lexicographic in the kernel coordinates of the Smith
-        form, so repeated runs (and parallel chunked runs) agree.  With
-        nontrivial_only, constant colorings are dropped as the walk yields
-        them.
+        form, so repeated runs (and parallel chunked runs) agree.  Every
+        row of a coloring matrix sums to 0, so the m constant colorings
+        are always colorings.  With nontrivial_only, a count of exactly m
+        therefore means no non-trivial coloring, and the walk is skipped;
+        otherwise the constants are dropped as the walk yields them, by
+        lookup in the set of the m constant vectors.  The budget check
+        comes first either way.
         """
         total = count_colorings(self.smith, m)
         if total > budget:
             raise EnumerationBudgetError(f"{total} colorings exceed budget {budget}")
+        if nontrivial_only and total == m:
+            return []
         vectors = solve_mod(self.smith, m).vectors()
         if nontrivial_only:
-            vectors = (x for x in vectors if len(set(x)) > 1)
+            n = self.smith.shape[1]
+            vectors = filterfalse({(v,) * n for v in range(m)}.__contains__, vectors)
         return [Coloring(m, x) for x in vectors]
 
 

@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import add, mod
 
 
 @dataclass(frozen=True)
@@ -415,33 +416,42 @@ class ModularKernel:
     def vectors(self):
         """Yield solution vectors x in lexicographic order of the free vector y.
 
-        The order is that of itertools.product over y_sets().  Coordinates
-        of size 1 stay at y_j = 0; the others turn like an odometer, the
-        last one fastest.  A tick of coordinate j adds column j of the
-        transform, times steps[j], to x mod m.  A coordinate wraps after
-        sizes[j] ticks, and sizes[j] * steps[j] = m, so the tick that wraps
-        it also returns x to where that coordinate started.  Each vector
-        costs O(rows) amortized, not the O(rows * cols) of forming c @ y.
+        The order is that of itertools.product over y_sets(): coordinates
+        of size 1 stay at y_j = 0, the others turn like an odometer, the
+        last one fastest.  Value t of coordinate j shifts x by t * steps[j]
+        times column j of the transform, mod m.  The free coordinates after
+        the first are folded, innermost first, into one flat block of
+        vectors laid end to end, each fold one comprehension over the
+        block.  For each value of the first free coordinate, operator.add
+        and operator.mod mapped over the block shift it, and zip cuts the
+        result into tuples, all in C.
+
+        The walk is lazy at the first free coordinate only: it holds one
+        block, count() / sizes[first] vectors, and a caller that stops
+        early (prime_classes' islice) pays for the blocks it reached.  The
+        folds together make less than two blocks, since every free size is
+        at least 2, so they cost at most one comprehension step (an add
+        and a mod) per entry of the vectors a full walk yields; the shifts
+        and cuts take no interpreter step at all.  A 0-row transform yields
+        count() empty tuples.
         """
         m = self.modulus
         rows = self.transform.entries
-        free = [j for j, size in enumerate(self.sizes) if size > 1]
-        ticks = [tuple(row[j] * self.steps[j] % m for row in rows) for j in free]
-        limits = [self.sizes[j] for j in free]
-        digits = [0] * len(free)
-        x = (0,) * len(rows)
-        while True:
-            yield x
-            pos = len(free) - 1
-            while pos >= 0:
-                x = tuple([(a + b) % m for a, b in zip(x, ticks[pos])])
-                digits[pos] += 1
-                if digits[pos] < limits[pos]:
-                    break
-                digits[pos] = 0
-                pos -= 1
-            else:
-                return
+        n = len(rows)
+        if not n:
+            yield from itertools.repeat((), self.count())
+            return
+        # per free coordinate j, its shifts t * steps[j] * column j, t < sizes[j]
+        shifts = [[tuple(t * self.steps[j] * row[j] % m for row in rows) for t in range(size)]
+                  for j, size in enumerate(self.sizes) if size > 1]
+        lead = shifts.pop(0) if shifts else [(0,) * n]
+        block = [0] * n
+        for coord in reversed(shifts):
+            reps = len(block) // n
+            block = [(a + b) % m for shift in coord for a, b in zip(block, shift * reps)]
+        reps = len(block) // n
+        for shift in lead:
+            yield from zip(*[map(mod, map(add, block, shift * reps), itertools.repeat(m))] * n)
 
 
 def solve_mod(sd: SmithDecomposition, modulus: int) -> ModularKernel:

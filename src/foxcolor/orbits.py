@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .coloring import (Coloring, ColoringProfile, ENUMERATION_BUDGET, _rref_mod_p,
                        is_odd_prime, profile)
@@ -179,9 +179,12 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
     colorings are scanned in sorted order, and the first one not yet
     seen is the least of its orbit, since a smaller member would have
     been reached first and marked its whole orbit seen.  Only that
-    representative is mapped, by one table lookup per arc and element,
-    so the cost after the sort is O(|G| * arcs) per orbit: linear in the
-    number of colorings when the action is free.
+    representative is mapped: one itemgetter over its values, mapped over
+    the tables in C, gives every image as a tuple.  itemgetter with one
+    index returns a scalar, so colorings of fewer than two arcs take the
+    same images by a per-element tuple instead.  The cost after the sort
+    is O(|G| * arcs) per orbit, linear in the number of colorings when
+    the action is free.
     """
     colorings = list(colorings)
     for c in colorings:
@@ -196,7 +199,10 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
     for c in sorted(colorings, key=attrgetter("values")):
         if c.values in seen:
             continue
-        orbit = {tuple(map(t.__getitem__, c.values)) for t in tables}
+        if len(c.values) > 1:
+            orbit = set(map(itemgetter(*c.values), tables))
+        else:
+            orbit = {tuple(map(t.__getitem__, c.values)) for t in tables}
         if not orbit <= pool:
             raise ValueError("input is not closed under the group action")
         seen |= orbit
@@ -217,12 +223,13 @@ def prime_classes(pr: ColoringProfile, kind: str, p: int) -> tuple[int, list[tup
     ascending.  The constant colorings span the row with pivot arc 0;
     the other rows b_0..b_{k-1} span the colorings with arc 0 = 0, and on
     them lex order of colorings is lex order of coefficient tuples, with
-    the first nonzero coefficient the first nonzero value.  The odometer
-    of ModularKernel.vectors walks the coefficient tuples in that order,
+    the first nonzero coefficient the first nonzero value.  The walk
+    of ModularKernel.vectors takes the coefficient tuples in that order,
     and the representatives with first nonzero coefficient at b_t, lead
     a, sit at walk positions a*p^(k-1-t) onward.  So one walk, keeping
     the positions [p^j, lead_stop*p^j) for j = 0..k-1, yields them
-    sorted; it stops at lead_stop*p^(k-1), at most twice the class count.
+    sorted; it stops after its first lead_stop blocks of p^(k-1)
+    vectors, at most twice the class count.
     """
     kind = check_group(kind, p)
     if not is_odd_prime(p):
@@ -318,8 +325,9 @@ def verify_counts(d: PlanarDiagram, primes: Sequence[int], *, label: str = "diag
     `profile`; every prime reads its nullity and colorings from those
     profiles, since the Smith form answers every modulus.  Returns one
     report per prime, in the order given.  Diagrams without non-trivial
-    p-colorings (nullity < 2) verify vacuously with zero classes.  Every
-    mismatch lands in the report's `failures`.
+    p-colorings (nullity < 2) verify vacuously with zero classes, and a
+    prime at which neither the diagram nor any variant has one builds no
+    group.  Every mismatch lands in the report's `failures`.
     """
     primes = tuple(primes)
     for p in primes:
@@ -340,10 +348,23 @@ def _verify_prime(base: ColoringProfile, others, p: int, label: str,
     else:
         pred_aut = pred_inn = 0
 
-    # enumerate before building the groups: the budget check bounds p
-    nontrivial = base.colorings(p, nontrivial_only=True, budget=budget)
-    groups = build_group(AUT, p), build_group(INN, p)
-    aut, inn = (orbit_partition(nontrivial, g) for g in groups)
+    groups: list[GroupSpec] = []
+
+    def partitions(pr: ColoringProfile):
+        """Non-trivial p-colorings of one diagram and their aut and inn partitions.
+
+        The groups are built for the first diagram that has such a
+        coloring, after its budget check bounds p; before that every
+        partition is empty.
+        """
+        colorings = pr.colorings(p, nontrivial_only=True, budget=budget)
+        if colorings and not groups:
+            groups.extend((build_group(AUT, p), build_group(INN, p)))
+        if not groups:
+            return colorings, OrbitPartition(p, AUT, (), 0), OrbitPartition(p, INN, (), 0)
+        return colorings, *(orbit_partition(colorings, g) for g in groups)
+
+    nontrivial, aut, inn = partitions(base)
     expected_nontrivial = p ** n - p
     if len(nontrivial) != expected_nontrivial:
         failures.append(f"non-trivial count {len(nontrivial)} != p^n - p = {expected_nontrivial}")
@@ -359,8 +380,7 @@ def _verify_prime(base: ColoringProfile, others, p: int, label: str,
     stable = True
     for vi, other in enumerate(others):
         vn = other.nullity(p)
-        vnontrivial = other.colorings(p, nontrivial_only=True, budget=budget)
-        vaut, vinn = (orbit_partition(vnontrivial, g) for g in groups)
+        _, vaut, vinn = partitions(other)
         if (vn, vaut.class_count, vinn.class_count) != (n, aut.class_count, inn.class_count):
             stable = False
             failures.append(

@@ -1,13 +1,15 @@
 """verify's structures are built once per thing they depend on.
 
-Counters wrap the builders: permutation tables once per group and only
-for a prime with non-trivial colorings, faces once per PD code, and one
-diagram per variant.  Cached fields leave equality and hashing alone.
+Counters wrap the builders: groups and their permutation tables once per
+prime, and only for a prime with non-trivial colorings, faces once per
+PD code, and one diagram per variant.  Cached fields leave equality and
+hashing alone.
 """
 
 from collections import Counter
 
 import foxcolor.diagram as dia
+import foxcolor.orbits as orbits
 from foxcolor.coloring import profile
 from foxcolor.diagram import PdCode, build_diagram, catalog, random_variants
 from foxcolor.orbits import AUT, INN, AffineMap, build_group, verify_counts
@@ -33,6 +35,26 @@ def test_tables_once_per_group_and_only_with_colorings(monkeypatch):
     assert set(expected) == {3, 5}
     assert pr.nullity(7) == pr.nullity(11) == 1
     assert calls == expected
+
+
+def test_groups_only_at_primes_with_colorings(monkeypatch):
+    # the trefoil has nullity 1 at 5, 7 and 11, and so have its variants
+    calls = []
+
+    def counted(kind, m):
+        calls.append((kind, m))
+        return build_group(kind, m)
+
+    monkeypatch.setattr(orbits, "build_group", counted)
+    trefoil = build_diagram(catalog("3_1"))
+    reports = verify_counts(trefoil, (5, 7, 11))
+    assert calls == []
+    assert [(r.aut_classes, r.inn_classes, r.aut_orbit_sizes, r.inn_orbit_sizes)
+            for r in reports] == [(0, 0, (), ())] * 3
+    assert all(r.passed for r in reports)
+    (report,) = verify_counts(trefoil, (3,))
+    assert sorted(calls) == [(AUT, 3), (INN, 3)]
+    assert report.passed and (report.aut_classes, report.inn_classes) == (1, 1)
 
 
 def test_faces_once_per_code(monkeypatch):

@@ -35,6 +35,31 @@ UNKNOT_SHA256 = {
         "628415f89be075bd717fa6ed64493676644da71fe9abd108e7890d443fbfd980",
 }
 
+# the Borromean rings of LINKS in test_oracle_differential.py
+BORROMEAN = "[[2,5,4,1],[5,3,7,6],[6,9,8,4],[9,7,11,10],[10,12,1,8],[12,11,3,2]]"
+# the enumerate-and-partition path: kernel walk, non-trivial filter,
+# orbit images and the JSON writer
+COLORING_PATH_SHA256 = {
+    ("classes", "9_40", "--mod", "5", "--json"):
+        "a6d17f4eed9eec8742d9b7abd4f553a5733dec7fd8f871a3cee54cdcdba1aaa3",
+    ("classes", "9_40", "--mod", "15", "--group", "inn", "--json"):
+        "33b33a49f79edcfce400aef4be6a0cddea5c216844ae6b1620b4d3b8b49b1ae0",
+    ("classes", "6_1", "--mod", "9", "--json"):
+        "614d3948ddcbdf680779a0b63082d08cc12450dee93f0310c4b668e08f89a923",
+    ("enumerate", "9_40", "--mod", "10", "--json"):
+        "e300ac698a10fe0dd3a0460e8abc514b16a17458b3256d1fb7e43e6f23dc74bc",
+    ("enumerate", "6_1", "--mod", "9", "--all", "--json"):
+        "86ba6d7f23e2c2e1ed45d83a47acdbfe49348a22ca48248aad0579bff893e0e7",
+    ("classes", BORROMEAN, "--mod", "6"):
+        "82f56e2bc3ab09448d63b47d976d7e20685732dd3cd82e69f9c3ac62c6e1f6cd",
+    ("classes", BORROMEAN, "--mod", "6", "--json"):
+        "38e4d0c2be471504be49f1aa1810aa21ba5ee000f787db72e8813ec2c81ef09c",
+    ("enumerate", BORROMEAN, "--mod", "6"):
+        "a4712bb06695e6f75b1c9c6e044398e9df5c4252527d65ca3d39359f5201035b",
+    ("enumerate", BORROMEAN, "--mod", "6", "--json"):
+        "6cee271ee7873ad8bbbb8808164e72ba8261b9a28536b86ca2ec86c0c48de1d8",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -423,6 +448,13 @@ def test_unknot_stdout_bytes(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == UNKNOT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", list(COLORING_PATH_SHA256))
+def test_coloring_path_stdout_bytes(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COLORING_PATH_SHA256[argv]
 
 
 def test_cli_import_leaves_numpy_unloaded():

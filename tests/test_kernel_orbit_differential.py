@@ -1,25 +1,30 @@
-"""Differential tests: the odometer kernel walk and the linear orbit
-partition against the code they replaced.
+"""Differential tests: the block-built kernel walk, the non-trivial
+filter and the linear orbit partition against the code they replaced.
 
 ModularKernel.vectors used to form c @ y afresh for every y of
 itertools.product over y_sets(); orbit_partition used to map every
 coloring through every group element with AffineMap.__call__ and to take
 the least member of each orbit.  Both must give the same results in the
-same order.  The old code below is the reference and lives only here.
+same order, and a walk stopped early must stop at the same vector.  The
+old code below is the reference and lives only here.
 """
 
 import itertools
 import random
 
 import pytest
+from test_oracle_differential import LINKS
 
-from foxcolor.coloring import Coloring, coloring_matrix, enumerate_colorings
-from foxcolor.diagram import build_diagram, catalog, catalog_names
+from foxcolor.cli import EXIT_BUDGET, main
+from foxcolor.coloring import (Coloring, EnumerationBudgetError, coloring_matrix,
+                               enumerate_colorings, profile)
+from foxcolor.diagram import build_diagram, catalog, catalog_names, parse_pd
 from foxcolor.linalg import IntegerMatrix, ModularKernel, smith_normal_form, solve_mod
 from foxcolor.orbits import AUT, INN, apply_map, build_group, orbit_partition
 
 MODULI = (6, 9, 15, 25)
 KNOTS = {name: build_diagram(catalog(name)) for name in catalog_names()}
+LINK_DIAGRAMS = {name: build_diagram(parse_pd(code)) for name, (code, _, _) in LINKS.items()}
 
 
 def reference_vectors(kernel: ModularKernel) -> list[tuple[int, ...]]:
@@ -109,12 +114,68 @@ class TestKernelWalk:
             kernel = solve_mod(sd, m)
             assert list(kernel.vectors()) == reference_vectors(kernel)
 
+    @pytest.mark.parametrize("m", (12, 30))
+    def test_unequal_free_coordinates(self, m):
+        # three or more free coordinates of unequal sizes, with size-1 ones among them
+        rng = random.Random(m)
+        checked = 0
+        for cols in (3, 4, 5, 6):
+            for _ in range(12):
+                steps = tuple(rng.choice(divisors(m)) for _ in range(cols))
+                free = [s for s in steps if s < m]
+                transform = IntegerMatrix.from_rows(
+                    [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(rng.randint(1, 4))])
+                kernel = ModularKernel(m, steps, tuple(m // s for s in steps), transform)
+                if len(free) < 3 or len(set(free)) < 2 or kernel.count() > 4000:
+                    continue
+                assert list(kernel.vectors()) == reference_vectors(kernel)
+                checked += 1
+        assert checked >= 12
+
+    @pytest.mark.parametrize("m", (6, 12, 30))
+    def test_prefixes_at_block_boundaries(self, m):
+        # the walk is lazy per value of its first free coordinate; a caller
+        # that stops early (islice) must see the reference prefix
+        rng = random.Random(31 * m)
+        proper = [s for s in divisors(m) if s < m]
+        for cols in (1, 2, 3, 4):
+            steps = tuple(rng.choice(proper) for _ in range(cols))
+            transform = IntegerMatrix.from_rows(
+                [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(3)])
+            kernel = ModularKernel(m, steps, tuple(m // s for s in steps), transform)
+            expected = reference_vectors(kernel)
+            block = len(expected) // kernel.sizes[0]
+            for edge in range(0, len(expected) + 1, block):
+                for stop in {max(edge - 1, 0), edge, edge + 1}:
+                    assert list(itertools.islice(kernel.vectors(), stop)) == expected[:stop]
+
     def test_nontrivial_filter_keeps_walk_order(self):
         for d in KNOTS.values():
             for m in (3, 5, 9, 15):
                 every = enumerate_colorings(d, m)
                 assert enumerate_colorings(d, m, nontrivial_only=True) == [
                     c for c in every if not c.is_trivial]
+
+
+    @pytest.mark.parametrize("name", sorted(KNOTS) + sorted(LINK_DIAGRAMS))
+    def test_nontrivial_equals_filtered_walk(self, name):
+        # count == m skips the walk; every other count filters it
+        pr = profile(KNOTS.get(name) or LINK_DIAGRAMS[name])
+        skipped = 0
+        for m in range(2, 16):
+            walk = [Coloring(m, x) for x in solve_mod(pr.smith, m).vectors()]
+            assert pr.colorings(m, nontrivial_only=True) == [c for c in walk if not c.is_trivial]
+            skipped += pr.count(m) == m
+        assert skipped or name == "unlink2"  # factors (1, 0, 0): m^2 colorings at every m
+
+    def test_budget_before_skipping(self, capsys):
+        # 3_1 has exactly 5 colorings mod 5, the constants: the budget still binds
+        pr = profile(KNOTS["3_1"])
+        assert pr.count(5) == 5
+        with pytest.raises(EnumerationBudgetError):
+            pr.colorings(5, nontrivial_only=True, budget=4)
+        assert main(["classes", "3_1", "--mod", "5", "--budget", "4"]) == EXIT_BUDGET
+        assert "budget" in capsys.readouterr().err
 
 
 class TestOrbitPartition:
@@ -133,6 +194,42 @@ class TestOrbitPartition:
                     assert [(o.representative, o.size) for o in part.orbits] == expected
                     assert part.class_count == len(expected)
                     assert sum(part.sizes()) == len(nontrivial)
+
+    @staticmethod
+    def assert_like_reference(colorings, group):
+        expected = reference_partition(colorings, group)
+        part = orbit_partition(colorings, group)
+        assert [(o.representative, o.size) for o in part.orbits] == expected
+        assert part.class_count == len(expected)
+
+    @pytest.mark.parametrize("m", range(3, 12))
+    def test_one_arc_constants(self, m):
+        # the unknot's colorings are 1-tuples, where itemgetter returns a scalar
+        constants = enumerate_colorings(KNOTS["unknot"], m)
+        assert [c.values for c in constants] == [(v,) for v in range(m)]
+        for kind in (AUT, INN):
+            self.assert_like_reference(constants, build_group(kind, m))
+
+    @pytest.mark.parametrize("m", (3, 4, 6, 9, 10))
+    def test_two_arc_closed_sets(self, m):
+        # affine maps keep a != b and scale b - a by a unit, so each set
+        # below is closed; d = m is the diagonal, the constants
+        every = [Coloring(m, (a, b)) for a in range(m) for b in range(m)]
+        sets = [every, [c for c in every if c.values[0] != c.values[1]]]
+        sets += [[c for c in every if (c.values[1] - c.values[0]) % d == 0] for d in divisors(m)]
+        for kind in (AUT, INN):
+            group = build_group(kind, m)
+            for colorings in sets:
+                self.assert_like_reference(colorings, group)
+
+    @pytest.mark.parametrize("name", sorted(LINK_DIAGRAMS))
+    def test_links_at_composite_moduli(self, name):
+        # orbits of unequal sizes: the action is not free at composite m
+        d = LINK_DIAGRAMS[name]
+        for m in (4, 6, 8, 9, 10, 12):
+            nontrivial = enumerate_colorings(d, m, nontrivial_only=True)
+            for kind in (AUT, INN):
+                self.assert_like_reference(nontrivial, build_group(kind, m))
 
     @pytest.mark.parametrize("kind", (AUT, INN))
     def test_invalid_input_raises_like_reference(self, kind):
