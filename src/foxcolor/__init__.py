@@ -12,19 +12,17 @@ from .coloring import (Coloring, ColoringProfile,
                        coloring_matrix, count_colorings, enumerate_colorings,
                        extend_coloring, generating_arcs, link_determinant,
                        p_nullity, profile)
-from .orbits import (AffineMap, GroupSpec, Orbit, OrbitPartition, VerifyReport,
-                     apply_map, apply_permutation_unchecked, build_group,
+from .orbits import (GroupSpec, Orbit, OrbitPartition, VerifyReport, build_group,
                      orbit_partition, predicted_class_count, prime_classes,
                      verify_counts)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap", "Coloring", "ColoringProfile",
-    "EnumerationBudgetError", "GroupSpec", "IntegerMatrix", "ModularKernel",
-    "MoveError", "MoveSite", "Orbit", "OrbitPartition", "PdCode", "PdError",
-    "PlanarDiagram", "SmithDecomposition", "VerifyReport", "apply_map",
-    "apply_move", "apply_permutation_unchecked", "brute_force_colorings",
+    "Coloring", "ColoringProfile", "EnumerationBudgetError", "GroupSpec",
+    "IntegerMatrix", "ModularKernel", "MoveError", "MoveSite", "Orbit",
+    "OrbitPartition", "PdCode", "PdError", "PlanarDiagram", "SmithDecomposition",
+    "VerifyReport", "apply_move", "brute_force_colorings",
     "build_diagram", "build_group", "catalog", "catalog_names",
     "coloring_matrix", "count_colorings",
     "enumerate_colorings", "extend_coloring", "generating_arcs",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import diagram as dia
@@ -278,7 +279,9 @@ def cmd_moves(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(
         prog="foxcolor",
         description="Exact coloring invariants of knot diagrams and "
@@ -331,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except col.EnumerationBudgetError as exc:

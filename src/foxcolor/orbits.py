@@ -1,11 +1,17 @@
 """Affine color symmetries and equivalence classes of colorings.
 
-The permutations of Z_m compatible with the crossing operation
-a * b = 2b - a are exactly the affine maps x -> lam*x + mu with lam a
-unit; the inner subgroup is lam = +-1 (mu even when m is even).  Acting
-arcwise on the non-trivial m-colorings of a diagram, the orbits are the
-equivalence classes; for an odd prime p and nullity n the class counts
-have closed forms, verified here against brute-force orbit partitions.
+Two colorings are equivalent when a permutation of Z_m that keeps the
+crossing operation a * b = 2b - a for all a, b carries one to the other.
+Those permutations form Aut(R_m) of the dihedral quandle, exactly the
+affine maps x -> lam*x + mu with lam a unit; the inner subgroup is
+lam = +-1 (mu even when m is even).  A permutation that merely keeps the
+crossings of one coloring would make the classes its arc partitions by
+color, which Reidemeister moves do not preserve.  A GroupSpec holds the
+group as its lam and mu lists, and its permutation tables once read.
+Acting arcwise on the non-trivial m-colorings of a diagram, the orbits
+are the equivalence classes; for an odd prime p and nullity n the class
+counts have closed forms, verified here against brute-force orbit
+partitions.
 
 For an odd prime the action is free, and prime_classes lists the sorted
 orbit representatives straight from the reduced echelon basis of the
@@ -34,63 +40,27 @@ INN = "inn"
 DEFAULT_SEED = 101
 
 
-@dataclass(frozen=True, order=True)
-class AffineMap:
-    """x -> lam*x + mu on Z_modulus, with lam a unit."""
-
-    modulus: int
-    lam: int
-    mu: int
-
-    def __post_init__(self):
-        m = self.modulus
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        if not (0 <= self.lam < m and 0 <= self.mu < m):
-            raise ValueError("coefficients must be reduced mod modulus")
-        if gcd(self.lam, m) != 1:
-            raise ValueError(f"lambda={self.lam} is not a unit mod {m}")
-
-    def __call__(self, x: int) -> int:
-        return (self.lam * x + self.mu) % self.modulus
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other."""
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        m = self.modulus
-        return AffineMap(m, (self.lam * other.lam) % m, (self.lam * other.mu + self.mu) % m)
-
-    def inverse(self) -> "AffineMap":
-        m = self.modulus
-        li = pow(self.lam, -1, m)
-        return AffineMap(m, li, (-li * self.mu) % m)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.lam == 1 and self.mu == 0
-
-    def as_permutation(self) -> tuple[int, ...]:
-        return tuple(self(x) for x in range(self.modulus))
-
-
 @dataclass(frozen=True)
 class GroupSpec:
-    """Full element list of the affine group or its inner subgroup on Z_m."""
+    """The affine group x -> lam*x + mu of Z_m, or its inner subgroup, as
+    the lists of its lam and of its mu; every pair is one element."""
 
     kind: str
     modulus: int
-    elements: tuple[AffineMap, ...]
+    lams: tuple[int, ...]
+    mus: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.lams) * len(self.mus)
 
     @cached_property
     def tables(self) -> tuple[tuple[int, ...], ...]:
-        """Each element as a permutation table of 0..m-1, built on first use;
-        no part of equality or hashing."""
-        return tuple(g.as_permutation() for g in self.elements)
+        """Each element as a permutation table of 0..m-1, lam ascending, then
+        mu ascending; built on first use, no part of equality or hashing."""
+        m = self.modulus
+        return tuple(tuple((l * x + u) % m for x in range(m))
+                     for l in self.lams for u in self.mus)
 
 
 def check_group(kind: str, m: int) -> str:
@@ -108,44 +78,18 @@ def check_group(kind: str, m: int) -> str:
 
 
 def build_group(kind: str, m: int) -> GroupSpec:
-    """All affine maps (kind "aut") or the inner subgroup +-x + mu (kind "inn").
+    """The affine group (kind "aut": lam every unit, mu every residue) or
+    its inner subgroup (kind "inn": lam = +-1).
 
-    Elements are listed with lambda ascending, mu ascending.  For even m
-    the inner maps only admit even mu, giving a dihedral group of order m;
-    for odd m every mu occurs and the order is 2m.
+    Both lists ascend.  For even m the inner maps only admit even mu,
+    giving a dihedral group of order m; for odd m every mu occurs and the
+    order is 2m.  No element is listed until GroupSpec.tables is read.
     """
     kind = check_group(kind, m)
     if kind == AUT:
-        lams = [l for l in range(1, m) if gcd(l, m) == 1]
-        mus = range(m)
-    else:
-        lams = [1, m - 1]
-        mus = range(0, m, 2) if m % 2 == 0 else range(m)
-    elements = tuple(AffineMap(m, l, u) for l in lams for u in mus)
-    return GroupSpec(kind, m, elements)
-
-
-def apply_map(g: AffineMap, c: Coloring) -> Coloring:
-    """Recolor every arc through g; colorings stay colorings."""
-    if g.modulus != c.modulus:
-        raise ValueError("map and coloring moduli differ")
-    return Coloring(c.modulus, tuple(g(v) for v in c.values))
-
-
-def apply_permutation_unchecked(d: PlanarDiagram, perm, c: Coloring):
-    """Relabel colors through an arbitrary permutation of 0..m-1.
-
-    Returns (values, ok): the relabeled arc assignment and whether it
-    still satisfies every crossing equation.  Non-affine permutations
-    generally break the equations; affine ones never do.
-    """
-    m = c.modulus
-    perm = tuple(perm)
-    if sorted(perm) != list(range(m)):
-        raise ValueError(f"not a permutation of 0..{m - 1}")
-    values = tuple(perm[v] for v in c.values)
-    ok = Coloring(m, values).satisfies(d)
-    return values, ok
+        return GroupSpec(kind, m, tuple(l for l in range(1, m) if gcd(l, m) == 1),
+                         tuple(range(m)))
+    return GroupSpec(kind, m, (1, m - 1), tuple(range(0, m, 2) if m % 2 == 0 else range(m)))
 
 
 @dataclass(frozen=True)
@@ -264,14 +208,8 @@ def predicted_class_count(kind: str, p: int, n: int) -> int:
         raise ValueError(f"p must be an odd prime, got {p}")
     if n < 2:
         raise ValueError(f"nullity must be at least 2, got {n}")
-    kind = kind.lower()
     num = p ** (n - 1) - 1
-    if kind == AUT:
-        den = p - 1
-    elif kind == INN:
-        den = 2
-    else:
-        raise ValueError(f"unknown group kind {kind!r}")
+    den = p - 1 if check_group(kind, p) == AUT else 2
     q, rem = divmod(num, den)
     assert rem == 0
     return q

@@ -9,13 +9,14 @@ import random
 from contextlib import contextmanager
 from math import gcd
 
-from foxcolor.coloring import (brute_force_colorings, coloring_matrix,
+from quandle_oracle import relabel
+
+from foxcolor.coloring import (Coloring, brute_force_colorings, coloring_matrix,
                                enumerate_colorings, extend_coloring,
                                generating_arcs, is_odd_prime, profile)
 from foxcolor.diagram import build_diagram, catalog, catalog_names, random_variants
 from foxcolor.linalg import IntegerMatrix, minor_gcd_factors, smith_normal_form
-from foxcolor.orbits import (AUT, INN, apply_map, apply_permutation_unchecked,
-                             build_group, orbit_partition, predicted_class_count)
+from foxcolor.orbits import AUT, INN, build_group, orbit_partition, predicted_class_count
 
 KNOTS = {name: build_diagram(catalog(name)) for name in catalog_names()}
 
@@ -151,9 +152,8 @@ def test_criterion_8_negative_control():
         coloring = extend_coloring(d, 5, dict(zip(free, (0, 1, 2))))
         assert coloring.satisfies(d)
         # the permutation (0 1)(2 3 4), written as images of 0..4
-        _, ok = apply_permutation_unchecked(d, (1, 0, 3, 4, 2), coloring)
-        assert not ok
+        assert not Coloring(5, relabel((1, 0, 3, 4, 2), coloring.values)).satisfies(d)
         group = build_group(AUT, 5)
         assert group.size == 20
-        for g in group.elements:
-            assert apply_map(g, coloring).satisfies(d)
+        for t in group.tables:
+            assert Coloring(5, relabel(t, coloring.values)).satisfies(d)

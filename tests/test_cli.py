@@ -219,7 +219,7 @@ class TestClasses:
         assert "--budget" in err
 
     def test_budget_before_group(self, capsys, monkeypatch):
-        # the budget error comes before the m(m-1) maps of the group are built
+        # the budget error comes before build_group is called at all
         calls = []
         build_group = orbits.build_group
 
@@ -236,6 +236,28 @@ class TestClasses:
         code, _, _ = run(capsys, "classes", "3_1", "--mod", "401", "--group", "inn")
         assert code == 0
         assert calls == [("inn", 401)]
+
+    def test_no_colorings_build_no_table(self, capsys, monkeypatch):
+        # the group of 3001 * 3000 maps is never listed when nothing is partitioned;
+        # reading its tables fails at once instead of filling memory
+        groups = []
+        build_group = orbits.build_group
+
+        def recording_build_group(kind, m):
+            groups.append(build_group(kind, m))
+            return groups[-1]
+
+        def no_tables(group):
+            raise AssertionError(f"tables of a group of {group.size} built")
+
+        monkeypatch.setattr(orbits, "build_group", recording_build_group)
+        monkeypatch.setattr(orbits.GroupSpec, "tables", property(no_tables))
+        code, out, _ = run(capsys, "classes", "3_1", "--mod", "3001")
+        assert code == 0
+        assert "classes: 0" in out
+        [group] = groups
+        assert (len(group.lams), len(group.mus)) == (3000, 3001)
+        assert group.size == 3001 * 3000
 
     def test_bad_modulus_before_budget(self, capsys):
         # m = 2 has no group; that input error wins over the enumeration budget
@@ -455,6 +477,22 @@ def test_coloring_path_stdout_bytes(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COLORING_PATH_SHA256[argv]
+
+
+def test_usage_error_leaves_parser_reusable(capsys):
+    # main keeps one parser per process; a failed parse must not change it
+    argv = ["classes", "9_40", "--mod", "5", "--group", "inn"]
+    with pytest.raises(SystemExit) as exc:
+        main(["classes", "9_40", "--mod", "5", "--group", "sym"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    code, out, _ = run(capsys, *argv)
+    src = str(Path(foxcolor.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-m", "foxcolor.cli", *argv], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert code == fresh.returncode == 0
+    assert out == fresh.stdout
+    assert "classes: 12" in out
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -3,16 +3,18 @@ filter and the linear orbit partition against the code they replaced.
 
 ModularKernel.vectors used to form c @ y afresh for every y of
 itertools.product over y_sets(); orbit_partition used to map every
-coloring through every group element with AffineMap.__call__ and to take
-the least member of each orbit.  Both must give the same results in the
-same order, and a walk stopped early must stop at the same vector.  The
-old code below is the reference and lives only here.
+coloring through every group element and to take the least member of
+each orbit.  Both must give the same results in the same order, and a
+walk stopped early must stop at the same vector.  The old code below is
+the reference and lives only here; it maps colorings through the group
+that quandle_oracle lists from the definition, not through build_group.
 """
 
 import itertools
 import random
 
 import pytest
+from quandle_oracle import color_group, relabel
 from test_oracle_differential import LINKS
 
 from foxcolor.cli import EXIT_BUDGET, main
@@ -20,7 +22,7 @@ from foxcolor.coloring import (Coloring, EnumerationBudgetError, coloring_matrix
                                enumerate_colorings, profile)
 from foxcolor.diagram import build_diagram, catalog, catalog_names, parse_pd
 from foxcolor.linalg import IntegerMatrix, ModularKernel, smith_normal_form, solve_mod
-from foxcolor.orbits import AUT, INN, apply_map, build_group, orbit_partition
+from foxcolor.orbits import AUT, INN, build_group, orbit_partition
 
 MODULI = (6, 9, 15, 25)
 KNOTS = {name: build_diagram(catalog(name)) for name in catalog_names()}
@@ -45,7 +47,8 @@ def reference_partition(colorings, group) -> list[tuple[Coloring, int]]:
     for c in sorted(colorings):
         if c in seen:
             continue
-        orbit = {apply_map(g, c) for g in group.elements}
+        orbit = {Coloring(c.modulus, relabel(t, c.values))
+                 for t in color_group(group.kind, group.modulus)}
         if not orbit <= pool:
             raise ValueError("input is not closed under the group action")
         seen |= orbit

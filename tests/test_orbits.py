@@ -2,13 +2,13 @@ import itertools
 from math import gcd
 
 import pytest
+from quandle_oracle import automorphisms_by_search, color_group, keeps_relation, relabel
 
-from foxcolor.coloring import Coloring, enumerate_colorings, is_odd_prime, profile
-from foxcolor.diagram import build_diagram, catalog
-from foxcolor.orbits import (AUT, INN, AffineMap, apply_map,
-                             apply_permutation_unchecked, build_group, check_group,
-                             orbit_partition, predicted_class_count,
-                             verify_counts)
+from foxcolor.coloring import (Coloring, enumerate_colorings, extend_coloring,
+                               generating_arcs, is_odd_prime, profile)
+from foxcolor.diagram import build_diagram, catalog, random_variants
+from foxcolor.orbits import (AUT, INN, build_group, check_group, orbit_partition,
+                             predicted_class_count, verify_counts)
 
 TREFOIL = build_diagram(catalog("3_1"))
 FIGURE8 = build_diagram(catalog("4_1"))
@@ -19,34 +19,30 @@ def phi(m):
     return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
-class TestAffineMap:
-    def test_call(self):
-        f = AffineMap(5, 2, 3)
-        assert [f(x) for x in range(5)] == [3, 0, 2, 4, 1]
+def lam_mu(table):
+    """(lam, mu) of the affine table x -> lam*x + mu: mu = t(0), lam = t(1) - t(0)."""
+    return ((table[1] - table[0]) % len(table), table[0])
 
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError):
-            AffineMap(6, 2, 0)
-        with pytest.raises(ValueError):
-            AffineMap(6, 0, 1)
 
-    def test_compose_then_apply(self):
-        f = AffineMap(7, 3, 2)
-        g = AffineMap(7, 5, 6)
-        fg = f.compose(g)
-        for x in range(7):
-            assert fg(x) == f(g(x))
+class TestGroupAxioms:
+    """The tables are the group that the relation a * b = 2b - a defines."""
 
-    def test_inverse(self):
-        for m in (5, 6, 9):
-            for f in build_group(AUT, m).elements:
-                assert f.compose(f.inverse()).is_identity
-                assert f.inverse().compose(f).is_identity
+    def test_affine_shortcut_finds_every_automorphism(self):
+        for m in range(3, 8):
+            assert color_group("aut", m) == automorphisms_by_search(m)
 
-    def test_doubling_permutation_mod5(self):
-        # x -> 2x is the permutation fixing 0 and cycling 1 -> 2 -> 4 -> 3
-        f = AffineMap(5, 2, 0)
-        assert f.as_permutation() == (0, 2, 4, 1, 3)
+    def test_bijection_required(self):
+        # a constant map keeps every relation, yet is no symmetry
+        for m in (3, 5, 6):
+            assert keeps_relation((0,) * m, m)
+            assert (0,) * m not in color_group("aut", m)
+
+    @pytest.mark.parametrize("kind", [AUT, INN])
+    def test_exhaustive_up_to_30(self, kind):
+        for m in range(3, 31):
+            g = build_group(kind, m)
+            assert len(set(g.tables)) == len(g.tables) == g.size
+            assert set(g.tables) == color_group(kind, m)
 
 
 class TestBuildGroup:
@@ -57,7 +53,8 @@ class TestBuildGroup:
     def test_inn_6_elements(self):
         g = build_group(INN, 6)
         assert g.size == 6
-        assert [(f.lam, f.mu) for f in g.elements] == [
+        assert (g.lams, g.mus) == ((1, 5), (0, 2, 4))
+        assert [lam_mu(t) for t in g.tables] == [
             (1, 0), (1, 2), (1, 4), (5, 0), (5, 2), (5, 4)]
 
     def test_closed_form_sizes(self):
@@ -65,10 +62,29 @@ class TestBuildGroup:
             assert build_group(AUT, m).size == m * phi(m)
             assert build_group(INN, m).size == (m if m % 2 == 0 else 2 * m)
 
+    def test_size_without_tables(self):
+        g = build_group(AUT, 3001)
+        assert g.size == 3001 * 3000
+        assert "tables" not in vars(g)
+
     def test_inn_subset_of_aut(self):
         for m in (3, 4, 7, 12):
-            aut = set(build_group(AUT, m).elements)
-            assert set(build_group(INN, m).elements) <= aut
+            assert set(build_group(INN, m).tables) <= set(build_group(AUT, m).tables)
+
+    def test_table_mod5(self):
+        g = build_group(AUT, 5)
+        assert g.tables[g.lams.index(2) * len(g.mus) + 3] == (3, 0, 2, 4, 1)
+
+    def test_doubling_table_mod5(self):
+        # x -> 2x is the permutation fixing 0 and cycling 1 -> 2 -> 4 -> 3
+        g = build_group(AUT, 5)
+        assert g.tables[g.lams.index(2) * len(g.mus)] == (0, 2, 4, 1, 3)
+
+    def test_units_only(self):
+        # x -> 2x and x -> 0 are no permutations of Z_6
+        g = build_group(AUT, 6)
+        assert g.lams == (1, 5)
+        assert not {(0, 2, 4, 0, 2, 4), (0,) * 6} & set(g.tables)
 
     def test_small_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -88,87 +104,106 @@ class TestBuildGroup:
 
     def test_deterministic_order(self):
         g = build_group(AUT, 7)
-        assert list(g.elements) == sorted(g.elements, key=lambda f: (f.lam, f.mu))
-
-
-class TestGroupAxioms:
-    @pytest.mark.parametrize("kind", [AUT, INN])
-    def test_exhaustive_up_to_30(self, kind):
-        for m in range(3, 31):
-            g = build_group(kind, m)
-            elems = set(g.elements)
-            assert AffineMap(m, 1, 0) in elems
-            for a in g.elements:
-                assert a.inverse() in elems
-                for b in g.elements:
-                    assert a.compose(b) in elems
+        assert g.lams == (1, 2, 3, 4, 5, 6) and g.mus == tuple(range(7))
+        assert [lam_mu(t) for t in g.tables] == list(itertools.product(g.lams, g.mus))
 
 
 class TestAction:
     def test_identity_action(self):
         c = Coloring(3, (0, 1, 2))
-        assert apply_map(AffineMap(3, 1, 0), c) == c
+        assert relabel(build_group(AUT, 3).tables[0], c.values) == c.values
 
     def test_trivial_stays_trivial(self):
-        shifted = apply_map(AffineMap(3, 1, 1), Coloring(3, (0, 0, 0)))
-        assert shifted == Coloring(3, (1, 1, 1))
+        shift = build_group(AUT, 3).tables[1]  # x -> x + 1
+        assert relabel(shift, (0, 0, 0)) == (1, 1, 1)
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
-            apply_map(AffineMap(5, 1, 0), Coloring(3, (0, 1, 2)))
+            orbit_partition([Coloring(3, (0, 1, 2))], build_group(AUT, 5))
 
     def test_colorings_stay_colorings(self):
         for d, p in ((TREFOIL, 3), (FIGURE8, 5), (KNOT940, 5)):
             colorings = enumerate_colorings(d, p)
-            for g in build_group(AUT, p).elements:
+            for t in build_group(AUT, p).tables:
                 for c in colorings[:30]:
-                    assert apply_map(g, c).satisfies(d)
+                    assert Coloring(p, relabel(t, c.values)).satisfies(d)
 
     def test_action_is_homomorphism(self):
         colorings = enumerate_colorings(FIGURE8, 5)
-        group = build_group(AUT, 5).elements
-        for g1, g2 in itertools.islice(itertools.product(group, group), 60):
+        tables = build_group(AUT, 5).tables
+        for t1, t2 in itertools.islice(itertools.product(tables, tables), 60):
+            composed = relabel(t1, t2)
+            assert composed in tables
             for c in colorings[:5]:
-                assert apply_map(g1.compose(g2), c) == apply_map(g1, apply_map(g2, c))
+                assert relabel(composed, c.values) == relabel(t1, relabel(t2, c.values))
 
     def test_faithful(self):
         colorings = enumerate_colorings(TREFOIL, 3)
-        for g in build_group(AUT, 3).elements:
-            if g.is_identity:
+        for t in build_group(AUT, 3).tables:
+            if t == (0, 1, 2):
                 continue
-            assert any(apply_map(g, c) != c for c in colorings)
+            assert any(relabel(t, c.values) != c.values for c in colorings)
 
     def test_affine_maps_preserve_color_count(self):
         for c in enumerate_colorings(KNOT940, 5, nontrivial_only=True)[:40]:
-            for g in build_group(AUT, 5).elements:
-                assert apply_map(g, c).n_colors() == c.n_colors()
+            for t in build_group(AUT, 5).tables:
+                assert Coloring(5, relabel(t, c.values)).n_colors() == c.n_colors()
 
 
 class TestPermutationUnchecked:
     def test_identity(self):
         c = enumerate_colorings(FIGURE8, 5, nontrivial_only=True)[0]
-        values, ok = apply_permutation_unchecked(FIGURE8, range(5), c)
-        assert ok and values == c.values
+        assert relabel(range(5), c.values) == c.values
 
     def test_affine_always_valid(self):
         c = enumerate_colorings(FIGURE8, 5, nontrivial_only=True)[0]
-        for g in build_group(AUT, 5).elements:
-            _, ok = apply_permutation_unchecked(FIGURE8, g.as_permutation(), c)
-            assert ok
+        for t in build_group(AUT, 5).tables:
+            assert Coloring(5, relabel(t, c.values)).satisfies(FIGURE8)
 
     def test_non_affine_breaks_940(self):
-        from foxcolor.coloring import extend_coloring, generating_arcs
         free = sorted(generating_arcs(KNOT940, 5))
         c = extend_coloring(KNOT940, 5, dict(zip(free, (0, 1, 2))))
         # the permutation swapping 0,1 and cycling 2 -> 3 -> 4
-        values, ok = apply_permutation_unchecked(KNOT940, (1, 0, 3, 4, 2), c)
-        assert not ok
+        perm = (1, 0, 3, 4, 2)
+        assert perm not in color_group(AUT, 5)
+        values = relabel(perm, c.values)
+        assert not Coloring(5, values).satisfies(KNOT940)
         assert values != c.values
 
     def test_non_bijection_rejected(self):
-        c = Coloring(3, (0, 1, 2))
-        with pytest.raises(ValueError):
-            apply_permutation_unchecked(TREFOIL, (0, 0, 2), c)
+        # (0, 0, 2) is no permutation: neither group lists it
+        for kind in (AUT, INN):
+            assert (0, 0, 2) not in color_group(kind, 3)
+            assert (0, 0, 2) not in build_group(kind, 3).tables
+
+
+class TestReadingOfTheRelation:
+    """Equivalence under Aut(R_m), not under any permutation that keeps the
+    crossings of the one coloring it acts on.
+
+    Under that literal reading every bijection between the colors of two
+    colorings with the same arc partition qualifies, so its classes are
+    the distinct partitions of the arcs by color.
+    """
+
+    @staticmethod
+    def arc_partitions(colorings):
+        return {tuple(c.values.index(v) for v in c.values) for c in colorings}
+
+    @pytest.mark.parametrize("m, aut, literal", [(3, 1, 1), (5, 6, 6), (15, 13, 11)])
+    def test_940(self, m, aut, literal):
+        nontrivial = enumerate_colorings(KNOT940, m, nontrivial_only=True)
+        assert orbit_partition(nontrivial, build_group(AUT, m)).class_count == aut
+        assert len(self.arc_partitions(nontrivial)) == literal
+
+    def test_only_aut_survives_moves(self):
+        aut, literal = set(), set()
+        for d in (KNOT940, *random_variants(KNOT940, 4, 3, seed=101)):
+            nontrivial = enumerate_colorings(d, 15, nontrivial_only=True)
+            aut.add(orbit_partition(nontrivial, build_group(AUT, 15)).class_count)
+            literal.add(len(self.arc_partitions(nontrivial)))
+        assert aut == {13}
+        assert literal == {11, 13}
 
 
 class TestOrbitPartition:
@@ -207,8 +242,8 @@ class TestOrbitPartition:
         nontrivial = enumerate_colorings(KNOT940, 5, nontrivial_only=True)
         part = orbit_partition(nontrivial, build_group(AUT, 5))
         for o in part.orbits:
-            counts = {apply_map(g, o.representative).n_colors()
-                      for g in build_group(AUT, 5).elements}
+            counts = {Coloring(5, relabel(t, o.representative.values)).n_colors()
+                      for t in build_group(AUT, 5).tables}
             assert counts == {o.representative.n_colors()}
 
     def test_empty_input(self):
