@@ -6,7 +6,8 @@ from .diagram import (MoveError, MoveSite, PdCode, PdError, PlanarDiagram,
                       apply_move, build_diagram, catalog, catalog_names,
                       parse_pd, random_variants)
 from .linalg import (IntegerMatrix, ModularKernel, SmithDecomposition,
-                     minor_gcd_factors, smith_normal_form, solve_mod)
+                     minor_gcd_factors, prime_kernel, smith_normal_form,
+                     solve_mod)
 from .coloring import (Coloring, ColoringProfile,
                        EnumerationBudgetError, brute_force_colorings,
                        coloring_matrix, count_colorings, enumerate_colorings,
@@ -27,6 +28,7 @@ __all__ = [
     "coloring_matrix", "count_colorings",
     "enumerate_colorings", "extend_coloring", "generating_arcs",
     "link_determinant", "minor_gcd_factors", "orbit_partition", "parse_pd",
-    "p_nullity", "predicted_class_count", "prime_classes", "profile", "random_variants",
+    "p_nullity", "predicted_class_count", "prime_classes", "prime_kernel", "profile",
+    "random_variants",
     "smith_normal_form", "solve_mod", "verify_counts",
 ]

@@ -21,7 +21,8 @@ from itertools import filterfalse
 from math import gcd
 
 from .diagram import PlanarDiagram
-from .linalg import IntegerMatrix, SmithDecomposition, smith_normal_form, solve_mod
+from .linalg import (IntegerMatrix, SmithDecomposition, _rref_mod_p, prime_kernel,
+                     smith_normal_form, solve_mod)
 
 ENUMERATION_BUDGET = 10 ** 6
 BRUTE_FORCE_BUDGET = 10 ** 8
@@ -83,14 +84,30 @@ class ColoringProfile:
         therefore means no non-trivial coloring, and the walk is skipped;
         otherwise the constants are dropped as the walk yields them, by
         lookup in the set of the m constant vectors.  The budget check
-        comes first either way.
+        comes first either way.  The reference elimination of the matrix
+        runs on the first call, as the walk reads the transform c.
         """
+        return self._walk(solve_mod, m, nontrivial_only, budget)
+
+    def prime_colorings(self, p: int, nontrivial_only: bool = False,
+                        budget: int = ENUMERATION_BUDGET) -> list[Coloring]:
+        """The colorings of colorings(p), for an odd prime p, in another order.
+
+        The walk runs over the F_p kernel basis of prime_kernel, so no
+        reference elimination runs; the budget check, the skipped walk
+        and the constant filter are those of colorings().
+        """
+        if not is_odd_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        return self._walk(prime_kernel, p, nontrivial_only, budget)
+
+    def _walk(self, kernel, m: int, nontrivial_only: bool, budget: int) -> list[Coloring]:
         total = count_colorings(self.smith, m)
         if total > budget:
             raise EnumerationBudgetError(f"{total} colorings exceed budget {budget}")
         if nontrivial_only and total == m:
             return []
-        vectors = solve_mod(self.smith, m).vectors()
+        vectors = kernel(self.smith, m).vectors()
         if nontrivial_only:
             n = self.smith.shape[1]
             vectors = filterfalse({(v,) * n for v in range(m)}.__contains__, vectors)
@@ -103,17 +120,24 @@ def coloring_matrix(d: PlanarDiagram) -> IntegerMatrix:
     Column order follows the arc order of the diagram (sorted by smallest
     edge label), so the matrix is deterministic.  Coincident arcs at a
     crossing accumulate, e.g. a kink row may come out all zero.  The
-    crossing-free diagram has one arc and no row: the 0x1 matrix.
+    crossing-free diagram has one arc and no row: the 0x1 matrix.  The
+    nonzeros of each row are known from its crossing, so they fill the
+    matrix's nonzeros view and the Smith form never scans the zeros.
     """
     n = d.n_arcs
     rows = []
+    nonzeros = []
     for i, k, j in d.crossing_relations:
         row = [0] * n
         row[i] += 1
         row[k] += 1
         row[j] -= 2
         rows.append(tuple(row))
-    return IntegerMatrix(len(rows), n, tuple(rows))
+        nonzeros.append(((i, 1), (k, 1), (j, -2)) if i != k != j != i
+                        else tuple((c, row[c]) for c in {i, k, j} if row[c]))
+    matrix = IntegerMatrix(len(rows), n, tuple(rows))
+    vars(matrix)["nonzeros"] = tuple(nonzeros)  # fills the cached view
+    return matrix
 
 
 def profile(d: PlanarDiagram) -> ColoringProfile:
@@ -244,30 +268,6 @@ def brute_force_colorings(d: PlanarDiagram, m: int,
 
     search(0)
     return [Coloring(m, x) for x in sorted(found)]
-
-
-def _rref_mod_p(matrix: IntegerMatrix, p: int):
-    """Reduced row echelon form over Z/pZ; returns (pivot_cols, reduced_rows)."""
-    rows = [[x % p for x in row] for row in matrix.entries]
-    nc = matrix.cols
-    pivots: list[int] = []
-    r = 0
-    for col in range(nc):
-        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots, rows[:r]
 
 
 def generating_arcs(d: PlanarDiagram, p: int) -> frozenset[int]:

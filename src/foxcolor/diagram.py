@@ -24,6 +24,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 UNKNOT_TOKEN = "unknot"
 
@@ -62,12 +63,17 @@ class PdCode:
     crossings: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self):
-        for q in self.crossings:
-            if len(q) != 4:
-                raise PdError(f"crossing {q!r} is not a quadruple")
-            for e in q:
-                if not _is_label(e) or e < 1:
-                    raise PdError(f"edge label {e!r} is not a positive integer")
+        quads = self.crossings
+        labels = list(chain.from_iterable(quads)) if set(map(type, quads)) == {tuple} else []
+        if not (labels and set(map(len, quads)) == {4} and set(map(type, labels)) == {int}
+                and min(labels) >= 1):
+            # crossing by crossing: names what is wrong, admits int subclasses
+            for q in self.crossings:
+                if len(q) != 4:
+                    raise PdError(f"crossing {q!r} is not a quadruple")
+                for e in q:
+                    if not _is_label(e) or e < 1:
+                        raise PdError(f"edge label {e!r} is not a positive integer")
         counts = _label_counts(self.crossings)
         if counts and sorted(counts) != list(range(1, len(counts) + 1)):
             raise PdError("edge labels must form 1..E with no gaps")
@@ -196,11 +202,15 @@ def parse_pd(text: str) -> PdCode:
         raise PdError("malformed PD code: lists nested too deeply") from None
     if not isinstance(raw, list) or not raw:
         raise PdError("PD code must be a non-empty list of quadruples (or the token 'unknot')")
-    quads = []
-    for item in raw:
-        if not isinstance(item, list) or len(item) != 4 or not all(map(_is_label, item)):
-            raise PdError(f"crossing {item!r} is not a quadruple of integers")
-        quads.append(tuple(item))
+    if (set(map(type, raw)) == {list} and set(map(len, raw)) == {4}
+            and set(map(type, chain.from_iterable(raw))) == {int}):
+        quads = list(map(tuple, raw))  # every label checked in one scan
+    else:
+        quads = []
+        for item in raw:
+            if not isinstance(item, list) or len(item) != 4 or not all(map(_is_label, item)):
+                raise PdError(f"crossing {item!r} is not a quadruple of integers")
+            quads.append(tuple(item))
     labels = sorted(_label_counts(quads))  # before relabeling, so errors name the input's labels
     relabel = {old: new for new, old in enumerate(labels, start=1)}
     return PdCode(tuple(tuple(relabel[e] for e in q) for q in quads))

@@ -1,28 +1,44 @@
 """Exact integer matrices, Smith normal form with unimodular transforms,
-and kernel enumeration over Z/mZ.
+and kernels over Z/mZ.
 
 Everything here uses Python's arbitrary-precision integers; intermediate
 entries during diagonalization routinely leave machine range.
 
-The Smith form eliminates on sparse storage: rows of the matrix are
-{col: value} dicts and a per-column set of nonzero rows drives the column
-operations.  Coloring matrices have three nonzeros per row and almost all
-invariant factors 1, so the cost follows the fill-in rather than n^3.
-Elimination touches the matrix alone and logs its row and column
-operations; s, r and c are built on first access, r and c by replaying
-the logs onto identities.  Invariant factors, determinants and counts
-never build a transform.  The pivot rule and the output, s, r and c entry
-for entry, are those of dense elimination; tests/test_snf_differential.py
-keeps the dense code as the reference.
+Two eliminations serve the Smith form, both on sparse storage: rows are
+{col: value} dicts and a per-column set of nonzero rows finds the rows
+an operation touches.
+
+The unit-pivot elimination gives the invariant factors and the F_p
+kernels.  Row after row, in index order and pass after pass, a row that
+holds a +-1 entry pivots on it, in the column with the fewest nonzeros,
+clears that column from the other rows and leaves the matrix with one
+invariant factor 1.  Coloring matrices have three nonzeros per row and
+almost all invariant factors 1, so what is left without a unit is a
+small block.  Dividing a block by the gcd of its entries often leaves
+units again, whose pivots split off that gcd as factors; the reference
+elimination diagonalizes the last block.  The first pass also gives a
+basis of the kernel mod a prime p (prime_kernel): the reduced echelon
+form mod p of the block it leaves, back-substituted through its pivot
+rows in reverse order.  Invariant factors, determinants, nullities,
+counts and prime kernels never run more.
+
+The reference elimination picks the nonzero of smallest absolute value,
+ties by lowest (row, col), and logs its row and column operations; r and
+c are built from the logs on first access.  On the whole matrix it runs
+only when row_ops, col_ops, r or c is first read, and its factors are
+then checked against the unit-pivot ones.  Its pivot rule and output,
+s, r and c entry for entry, are those of dense elimination, which
+tests/test_snf_differential.py keeps as the reference, and c fixes the
+order in which solve_mod lists the kernel at any modulus.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from operator import add, mod
+from operator import add, mod, mul
 
 
 @dataclass(frozen=True)
@@ -47,6 +63,16 @@ class IntegerMatrix:
         r = len(data)
         c = len(data[0]) if r else (0 if cols is None else cols)
         return cls(r, c, data)
+
+    @cached_property
+    def nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each row's nonzero entries as (column, value) pairs, one per column.
+
+        Built on first read, in column order, unless whoever built the
+        matrix filled it (coloring_matrix does, in its own order); no part
+        of equality or hashing.
+        """
+        return tuple(tuple(itertools.compress(enumerate(row), row)) for row in self.entries)
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
@@ -106,21 +132,50 @@ class IntegerMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Diagonal form s together with unimodular r, c such that s = r @ m @ c.
+    """The Smith normal form of a matrix: its invariant factors, and on
+    demand the diagonal s with unimodular r, c such that s = r @ matrix @ c.
 
-    Holds the shape of m, its invariant factors and the row and column
-    operations of the elimination, in order.  s, r and c are built on first
-    access and cached: s from the factors, r and c by replaying the logs
-    onto identities, with the same entries as if the transforms had been
-    carried through the elimination.  A row operation is (i, j) for a swap,
-    (i,) for a negation or (i, j, q) for row_i -= q * row_j; a column
-    operation is (i, j) or (i, j, q) on columns.
+    The invariant factors come from the unit-pivot elimination, and its
+    record stays here for prime_kernel: pivots lists (column, row) in
+    pivot order, each row as a {col: value} dict as it stood when it
+    pivoted, and rest the rows left without a unit.  The reference
+    elimination of the whole matrix runs on the first read of row_ops,
+    col_ops, r or c, and raises RuntimeError if its factors differ.  s, r
+    and c are built on first access and cached: s from the factors, r and
+    c by replaying the reference logs onto identities, with the same
+    entries as if the transforms had been carried through the
+    elimination.  A row operation is (i, j) for a swap, (i,) for a
+    negation or (i, j, q) for row_i -= q * row_j; a column operation is
+    (i, j) or (i, j, q) on columns.  Equality and hashing follow the
+    input matrix alone.
     """
 
-    shape: tuple[int, int]
-    invariant_factors: tuple[int, ...]
-    row_ops: tuple[tuple[int, ...], ...]
-    col_ops: tuple[tuple[int, ...], ...]
+    matrix: IntegerMatrix
+    invariant_factors: tuple[int, ...] = field(compare=False)
+    pivots: tuple[tuple[int, dict[int, int]], ...] = field(compare=False, repr=False)
+    rest: tuple[dict[int, int], ...] = field(compare=False, repr=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.rows, self.matrix.cols
+
+    @cached_property
+    def _reference(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(row_ops, col_ops) of the reference elimination of the whole matrix."""
+        w = _Worker(self.matrix.nonzeros, self.matrix.cols)
+        factors = _diagonalize(w)
+        if factors != self.invariant_factors:
+            raise RuntimeError(f"reference elimination gives invariant factors {factors}, "
+                               f"unit pivots gave {self.invariant_factors}")
+        return tuple(w.row_ops), tuple(w.col_ops)
+
+    @property
+    def row_ops(self) -> tuple[tuple[int, ...], ...]:
+        return self._reference[0]
+
+    @property
+    def col_ops(self) -> tuple[tuple[int, ...], ...]:
+        return self._reference[1]
 
     @cached_property
     def s(self) -> IntegerMatrix:
@@ -153,15 +208,17 @@ class SmithDecomposition:
 class _Worker:
     """Sparse elimination state.
 
-    Rows of a are {col: value} dicts holding nonzeros only; cols[j] is the
-    set of rows with a nonzero in column j.  Each operation is applied to a
-    and appended to row_ops or col_ops in SmithDecomposition's format.
+    Rows of a are {col: value} dicts holding nonzeros only, copied from
+    the rows of an nc-column matrix given as dicts or (col, value) pairs;
+    cols[j] is the set of rows with a nonzero in column j.  Each operation
+    is applied to a and appended to row_ops or col_ops in
+    SmithDecomposition's format.
     """
 
-    def __init__(self, m: IntegerMatrix):
-        self.nr = m.rows
-        self.nc = m.cols
-        self.a = [dict(itertools.compress(enumerate(row), row)) for row in m.entries]
+    def __init__(self, rows, nc: int):
+        self.nr = len(rows)
+        self.nc = nc
+        self.a = [dict(row) for row in rows]
         self.cols = [set() for _ in range(self.nc)]
         for i, row in enumerate(self.a):
             for j in row:
@@ -235,7 +292,13 @@ def _replay(n, ops):
     for op in ops:
         if len(op) == 3:
             i, j, q = op
-            _axpy(vecs[i], vecs[j], -q)
+            target = vecs[i]
+            for k, v in vecs[j].items():
+                x = target.get(k, 0) - q * v
+                if x:
+                    target[k] = x
+                else:
+                    del target[k]
         elif len(op) == 2:
             i, j = op
             vecs[i], vecs[j] = vecs[j], vecs[i]
@@ -243,16 +306,6 @@ def _replay(n, ops):
             (i,) = op
             vecs[i] = {k: -v for k, v in vecs[i].items()}
     return vecs
-
-
-def _axpy(target, source, q):
-    """target += q * source, on {index: value} dicts without zeros."""
-    for k, v in source.items():
-        x = target.get(k, 0) + q * v
-        if x:
-            target[k] = x
-        else:
-            del target[k]
 
 
 def _dense(entries, n):
@@ -280,23 +333,100 @@ def _find_pivot(a, s):
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
-    """Compute the Smith normal form s = r @ m @ c.
+    """The Smith normal form of m: invariant factors now, s = r @ m @ c on demand.
 
-    The result is deterministic for a given input: pivots are chosen by
-    smallest nonzero absolute value with (row, col) tie-breaking, diagonal
-    entries come out non-negative and each divides the next.
+    The unit-pivot elimination (_unit_pivots) runs on the nonzeros of m
+    and splits off one factor 1 per pivot.  While the block left has
+    entries with a common factor g > 1, it is divided by g, and the unit
+    pivots of the quotient split off factors of the product of those g
+    so far; the reference elimination diagonalizes the last block, and
+    its factors times that product come last.  The factors are
+    non-negative and each divides the next.  r and c, and the reference elimination of the
+    whole matrix behind them, wait for their first read (see
+    SmithDecomposition), so callers that read only the factors or prime
+    kernels never pay for them.
+    """
+    pivots, rest = _unit_pivots(list(map(dict, m.nonzeros)), m.cols)
+    factors = [1] * len(pivots)
+    done = {j for j, _ in pivots}
+    rows, scale = rest, 1
+    while (g := gcd(*(v for row in rows for v in row.values()))) > 1:
+        scale *= g
+        more, rows = _unit_pivots([{j: v // g for j, v in row.items()} for row in rows], m.cols)
+        factors += [scale] * len(more)
+        done.update(j for j, _ in more)
+    index = {j: t for t, j in enumerate(j for j in range(m.cols) if j not in done)}
+    block = _Worker([{index[j]: v for j, v in row.items()} for row in rows], len(index))
+    factors += [scale * f for f in _diagonalize(block)]
+    return SmithDecomposition(m, tuple(factors), tuple(pivots), tuple(rest))
 
-    Elimination runs on sparse rows of m alone, with the same pivots as
-    dense elimination under this rule, and records its operations; r and
-    c are replayed from that record on first access, so callers that read
-    only the invariant factors never pay for the transforms, and those
-    that do get the same entries as before.  The cost follows the fill-in
-    of the matrix rather than n^3, and a unit pivot skips the
+
+def _unit_pivots(a, nc: int):
+    """Eliminate on +-1 pivots until no row of a holds one.
+
+    a holds the rows of an nc-column matrix as {col: value} dicts and is
+    changed in place.  The rows are visited in index order, pass after
+    pass, until a pass pivots on none.  A row holding a unit pivots on
+    it, in the column with the fewest nonzeros (then the lowest), takes
+    that column out of every other row by a row operation, and leaves
+    the matrix; the columns it also holds then carry no constraint that
+    column operations could not clear.  Returns the pivots as (column,
+    row) in pivot order, each row as it stood when it pivoted, and the
+    rows left, in index order.
+    """
+    cols = [set() for _ in range(nc)]
+    for i, row in enumerate(a):
+        for j in row:
+            cols[j].add(i)
+    pivots = []
+    left = range(len(a))
+    while True:
+        active, left = left, []
+        for i in active:
+            row = a[i]
+            j = None
+            for k, v in row.items():
+                if v == 1 or v == -1:
+                    if j is None or (len(cols[k]), k) < (len(cols[j]), j):
+                        j = k
+            if j is None:
+                left.append(i)
+                continue
+            for k in row:
+                cols[k].remove(i)
+            hit = cols[j]
+            if hit:
+                u = row.pop(j)  # back once the other rows are cleared
+                for r in hit:
+                    target = a[r]
+                    q = target.pop(j) * u  # row_r -= q * row_i clears column j, as u * u = 1
+                    for k, v in row.items():
+                        x = target.get(k)
+                        if x is None:
+                            target[k] = -q * v
+                            cols[k].add(r)
+                        elif x != q * v:
+                            target[k] = x - q * v
+                        else:
+                            del target[k]
+                            cols[k].remove(r)
+                hit.clear()
+                row[j] = u
+            pivots.append((j, row))
+        if len(left) == len(active):
+            return pivots, [a[i] for i in left]
+
+
+def _diagonalize(w: _Worker) -> tuple[int, ...]:
+    """The reference elimination: diagonalize w's matrix and return its diagonal.
+
+    Pivots are chosen by smallest nonzero absolute value with (row, col)
+    tie-breaking, the same pivots as dense elimination under this rule,
+    and every operation is logged in w.  Diagonal entries come out
+    non-negative and each divides the next; a unit pivot skips the
     divisibility check.
     """
-    w = _Worker(m)
-    nr, nc = w.nr, w.nc
-    lim = min(nr, nc)
+    lim = min(w.nr, w.nc)
     s = 0
     while s < lim:
         piv = _find_pivot(w.a, s)
@@ -316,8 +446,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
                 break
             w.row_add(s, bad)  # drags the offending row into row s; redo elimination
         s += 1
-    factors = tuple(w.a[i].get(i, 0) for i in range(lim))
-    return SmithDecomposition((nr, nc), factors, tuple(w.row_ops), tuple(w.col_ops))
+    return tuple(w.a[i].get(i, 0) for i in range(lim))
 
 
 def _eliminate(w: _Worker, s: int):
@@ -392,11 +521,13 @@ def minor_gcd_factors(m: IntegerMatrix, max_dim: int = 6) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ModularKernel:
-    """Solutions of m @ x = 0 over Z/modZ, parametrized through the Smith form.
+    """Solutions of m @ x = 0 over Z/modZ as x = transform @ y (mod modulus),
+    each y_i running over the multiples of steps[i], sizes[i] values.
 
-    With s = r @ m @ c, the solutions are exactly x = c @ y (mod m) where
-    each y_i runs over the multiples of step_i = mod // gcd(d_i, mod).
-    Column positions beyond the diagonal behave like zero factors.
+    From solve_mod the transform is c of the Smith form s = r @ m @ c and
+    step_i = mod // gcd(d_i, mod), column positions beyond the diagonal
+    behaving like zero factors.  From prime_kernel it is a basis of the
+    kernel over F_p, every step 1 and every size p.
     """
 
     modulus: int
@@ -461,3 +592,63 @@ def solve_mod(sd: SmithDecomposition, modulus: int) -> ModularKernel:
     sizes = tuple(gcd(d, modulus) for d in sd.padded_factors())
     steps = tuple(modulus // g for g in sizes)
     return ModularKernel(modulus, steps, sizes, sd.c)
+
+
+def prime_kernel(sd: SmithDecomposition, p: int) -> ModularKernel:
+    """The kernel of the decomposed matrix over F_p, p prime, from the unit pivots.
+
+    The block left without a unit is put in reduced echelon form mod p.
+    Each of its free columns gives one basis vector, 1 there and 0 at the
+    block's other free columns, with its echelon columns read off the
+    reduced rows.  The pivot rows then set their columns in reverse pivot
+    order: a row with unit u at column j makes x_j = -u * (row @ x), as
+    x_j is still 0 and every other column of the row was set before it.
+    The basis vectors are the columns of the transform.  No reference
+    elimination runs.
+    """
+    if p < 2:
+        raise ValueError("modulus must be at least 2")
+    nc = sd.shape[1]
+    done = {j for j, _ in sd.pivots}
+    keep = [j for j in range(nc) if j not in done]
+    block = IntegerMatrix(len(sd.rest), len(keep),
+                          tuple(tuple(row.get(j, 0) for j in keep) for row in sd.rest))
+    lead, reduced = _rref_mod_p(block, p)
+    basis = []
+    for f in range(len(keep)):
+        if f in lead:
+            continue
+        x = [0] * nc
+        x[keep[f]] = 1
+        for row, t in zip(reduced, lead):
+            x[keep[t]] = -row[f] % p
+        for j, row in reversed(sd.pivots):
+            x[j] = -row[j] * sum(map(mul, row.values(), map(x.__getitem__, row))) % p
+        basis.append(x)
+    k = len(basis)
+    transform = IntegerMatrix(nc, k, tuple(zip(*basis)) if k else ((),) * nc)
+    return ModularKernel(p, (1,) * k, (p,) * k, transform)
+
+
+def _rref_mod_p(matrix: IntegerMatrix, p: int):
+    """Reduced row echelon form over Z/pZ; returns (pivot_cols, reduced_rows)."""
+    rows = [[x % p for x in row] for row in matrix.entries]
+    nc = matrix.cols
+    pivots: list[int] = []
+    r = 0
+    for col in range(nc):
+        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots, rows[:r]

@@ -30,10 +30,9 @@ from itertools import islice
 from math import gcd
 from operator import attrgetter, itemgetter
 
-from .coloring import (Coloring, ColoringProfile, ENUMERATION_BUDGET, _rref_mod_p,
-                       is_odd_prime, profile)
+from .coloring import Coloring, ColoringProfile, ENUMERATION_BUDGET, is_odd_prime, profile
 from .diagram import PlanarDiagram, random_variants
-from .linalg import IntegerMatrix, ModularKernel, solve_mod
+from .linalg import IntegerMatrix, ModularKernel, _rref_mod_p, prime_kernel
 
 AUT = "aut"
 INN = "inn"
@@ -162,10 +161,11 @@ def prime_classes(pr: ColoringProfile, kind: str, p: int) -> tuple[int, list[tup
     (inn) members, and its lexicographically least member has arc 0 = 0
     and its first nonzero value 1 (aut) or in 1..(p-1)/2 (inn).
 
-    The kernel basis over F_p (the columns of the Smith transform c that
-    solve_mod leaves free) is put in reduced echelon form, pivots
-    ascending.  The constant colorings span the row with pivot arc 0;
-    the other rows b_0..b_{k-1} span the colorings with arc 0 = 0, and on
+    The kernel basis over F_p from the unit pivots (prime_kernel; no
+    reference elimination) is put in reduced echelon form, pivots
+    ascending; that form is the subspace's own, whatever the basis.  The
+    constant colorings span the row with pivot arc 0; the other rows
+    b_0..b_{k-1} span the colorings with arc 0 = 0, and on
     them lex order of colorings is lex order of coefficient tuples, with
     the first nonzero coefficient the first nonzero value.  The walk
     of ModularKernel.vectors takes the coefficient tuples in that order,
@@ -179,9 +179,8 @@ def prime_classes(pr: ColoringProfile, kind: str, p: int) -> tuple[int, list[tup
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     size, lead_stop = (p * (p - 1), 2) if kind == AUT else (2 * p, (p + 1) // 2)
-    kernel = solve_mod(pr.smith, p)
-    c = kernel.transform.entries
-    basis = tuple(tuple(row[j] for row in c) for j, s in enumerate(kernel.sizes) if s == p)
+    kernel = prime_kernel(pr.smith, p)
+    basis = tuple(zip(*kernel.transform.entries))
     n_arcs = pr.smith.shape[1]
     _, rows = _rref_mod_p(IntegerMatrix(len(basis), n_arcs, basis), p)
     rows = rows[1:]  # drop the constants' row, the one with pivot arc 0
@@ -260,8 +259,9 @@ def verify_counts(d: PlanarDiagram, primes: Sequence[int], *, label: str = "diag
 
     Every prime is validated before any work.  The variants are built
     once and the diagram and each variant are decomposed once, by
-    `profile`; every prime reads its nullity and colorings from those
-    profiles, since the Smith form answers every modulus.  Returns one
+    `profile`; every prime reads its nullity and its colorings from those
+    profiles, the colorings by prime_colorings, whose walk over the F_p
+    kernel of the unit pivots runs no reference elimination.  Returns one
     report per prime, in the order given.  Diagrams without non-trivial
     p-colorings (nullity < 2) verify vacuously with zero classes, and a
     prime at which neither the diagram nor any variant has one builds no
@@ -295,7 +295,7 @@ def _verify_prime(base: ColoringProfile, others, p: int, label: str,
         coloring, after its budget check bounds p; before that every
         partition is empty.
         """
-        colorings = pr.colorings(p, nontrivial_only=True, budget=budget)
+        colorings = pr.prime_colorings(p, nontrivial_only=True, budget=budget)
         if colorings and not groups:
             groups.extend((build_group(AUT, p), build_group(INN, p)))
         if not groups:

@@ -2,39 +2,51 @@
 
 Counters wrap the builders: groups and their permutation tables once per
 prime, and only for a prime with non-trivial colorings, faces once per
-PD code, and one diagram per variant.  Cached fields leave equality and
-hashing alone.
+PD code, one diagram per variant, and the reference Smith elimination
+only where a verb lists colorings in its order.  Cached fields leave
+equality and hashing alone.
 """
 
 from collections import Counter
 from functools import cached_property
 
+import pytest
+
 import foxcolor.diagram as dia
 import foxcolor.orbits as orbits
+from foxcolor.cli import main
 from foxcolor.coloring import profile
 from foxcolor.diagram import PdCode, build_diagram, catalog, random_variants
-from foxcolor.orbits import AUT, INN, GroupSpec, build_group, verify_counts
+from foxcolor.linalg import SmithDecomposition
+from foxcolor.orbits import AUT, INN, GroupSpec, build_group, prime_classes, verify_counts
 
 KNOT_9_40 = build_diagram(catalog("9_40"))
 
 
-def test_tables_once_per_group_and_only_with_colorings(monkeypatch):
-    calls = Counter()
-    tables = GroupSpec.tables.func
+def counting(monkeypatch, cls, name):
+    """Swap cls.name, a cached_property, for one that counts its builds."""
+    calls = []
+    build = vars(cls)[name].func
 
     def counted(self):
-        calls[self.kind, self.modulus] += 1
-        return tables(self)
+        calls.append(self)
+        return build(self)
 
-    counted_tables = cached_property(counted)
-    counted_tables.__set_name__(GroupSpec, "tables")
-    monkeypatch.setattr(GroupSpec, "tables", counted_tables)
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return calls
+
+
+def test_tables_once_per_group_and_only_with_colorings(monkeypatch):
+    groups = counting(monkeypatch, GroupSpec, "tables")
     primes = (3, 5, 7, 11)
     reports = verify_counts(KNOT_9_40, primes, variants=3)
     assert all(r.passed for r in reports)
     pr = profile(KNOT_9_40)
     assert pr.nullity(3) >= 2 and pr.nullity(5) >= 2
     assert pr.nullity(7) == pr.nullity(11) == 1
+    calls = Counter((g.kind, g.modulus) for g in groups)
     assert calls == {(kind, p): 1 for kind in (AUT, INN) for p in (3, 5)}
 
 
@@ -107,3 +119,32 @@ def test_cached_tables_keep_identity():
         assert len(read.tables) == read.size
         assert "tables" not in vars(fresh)
         assert read == fresh and hash(read) == hash(fresh)
+
+
+@pytest.mark.parametrize("argv, diagrams", [
+    (["analyze", "9_40", "--mod", "5"], 0),
+    (["analyze", "9_40", "--mod", "15", "--json"], 0),
+    (["catalog"], 0),
+    (["verify", "9_40", "--primes", "3,5,7,11"], 0),
+    (["verify", "3_1", "--primes", "3", "--moves", "5"], 0),
+    (["classes", "9_40", "--mod", "5"], 1),
+    (["classes", "9_40", "--mod", "15", "--group", "inn"], 1),
+    (["enumerate", "9_40", "--mod", "5"], 1),
+    (["enumerate", "4_1", "--mod", "6", "--all"], 1),
+])
+def test_reference_elimination_only_for_listing_order(monkeypatch, capsys, argv, diagrams):
+    references = counting(monkeypatch, SmithDecomposition, "_reference")
+    transforms = counting(monkeypatch, SmithDecomposition, "c")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(references) == len(transforms) == diagrams
+    assert len({id(sd) for sd in references}) == diagrams
+
+
+def test_prime_classes_run_no_reference_elimination(monkeypatch):
+    references = counting(monkeypatch, SmithDecomposition, "_reference")
+    pr = profile(KNOT_9_40)
+    for kind in (AUT, INN):
+        for p in (3, 5, 7):
+            prime_classes(pr, kind, p)
+    assert references == []

@@ -70,6 +70,31 @@ class TestParse:
         with pytest.raises(PdError):
             PdCode(((True, 2, 2, True),))
 
+    def test_label_messages(self):
+        # labels are checked in one scan; what it rejects is reported per crossing
+        for crossings, message in [
+            (((0, 1, 1, 2), (2, 3, 3, 0)), "edge label 0 is not a positive integer"),
+            (((1, 2, -1, 2),), "edge label -1 is not a positive integer"),
+            (((1, 2, 1.0, 2),), "edge label 1.0 is not a positive integer"),
+            (((1, 2, 3),), r"crossing \(1, 2, 3\) is not a quadruple"),
+        ]:
+            with pytest.raises(PdError, match=message):
+                PdCode(crossings)
+        for text, message in [
+            ('[[1,4,2,5],[3,6,4,1],[5,2,6,"3"]]', r"crossing \[5, 2, 6, '3'\] is not a quadruple"),
+            ("[[1,4,2,5],7]", "crossing 7 is not a quadruple"),
+            ("[[1,4,2,5],[3,6,4]]", r"crossing \[3, 6, 4\] is not a quadruple"),
+        ]:
+            with pytest.raises(PdError, match=message):
+                parse_pd(text)
+
+    def test_int_subclass_labels(self):
+        class Label(int):
+            pass
+
+        trefoil = parse_pd(TREFOIL)
+        assert PdCode(tuple(tuple(map(Label, q)) for q in trefoil.crossings)) == trefoil
+
     def test_nonplanar_rejected(self):
         # one crossing, two edges, one face: V - E + F = 0, a torus
         with pytest.raises(PdError, match="planar"):

@@ -181,7 +181,8 @@ class TestTransformsOnDemand:
         _ = a.r, a.c  # a cached transform takes no part in equality
         assert a == b
         assert hash(a) == hash(b)
-        # same factors, different operations
+        assert a.matrix is m
+        # same factors, different matrices
         assert smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 4]])) != \
             smith_normal_form(IntegerMatrix.from_rows([[4, 0], [0, 2]]))
 
