@@ -122,7 +122,8 @@ def coloring_matrix(d: PlanarDiagram) -> IntegerMatrix:
     crossing accumulate, e.g. a kink row may come out all zero.  The
     crossing-free diagram has one arc and no row: the 0x1 matrix.  The
     nonzeros of each row are known from its crossing, so they fill the
-    matrix's nonzeros view and the Smith form never scans the zeros.
+    matrix's nonzeros view, in column order, and the Smith form never
+    scans the zeros.
     """
     n = d.n_arcs
     rows = []
@@ -133,8 +134,13 @@ def coloring_matrix(d: PlanarDiagram) -> IntegerMatrix:
         row[k] += 1
         row[j] -= 2
         rows.append(tuple(row))
-        nonzeros.append(((i, 1), (k, 1), (j, -2)) if i != k != j != i
-                        else tuple((c, row[c]) for c in {i, k, j} if row[c]))
+        if i != k != j != i:
+            lo, hi = (i, k) if i < k else (k, i)
+            nonzeros.append(((j, -2), (lo, 1), (hi, 1)) if j < lo else
+                            ((lo, 1), (j, -2), (hi, 1)) if j < hi else
+                            ((lo, 1), (hi, 1), (j, -2)))
+        else:
+            nonzeros.append(tuple((c, row[c]) for c in sorted({i, k, j}) if row[c]))
     matrix = IntegerMatrix(len(rows), n, tuple(rows))
     vars(matrix)["nonzeros"] = tuple(nonzeros)  # fills the cached view
     return matrix

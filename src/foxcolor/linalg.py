@@ -14,13 +14,11 @@ holds a +-1 entry pivots on it, in the column with the fewest nonzeros,
 clears that column from the other rows and leaves the matrix with one
 invariant factor 1.  Coloring matrices have three nonzeros per row and
 almost all invariant factors 1, so what is left without a unit is a
-small block.  Dividing a block by the gcd of its entries often leaves
-units again, whose pivots split off that gcd as factors; the reference
-elimination diagonalizes the last block.  The first pass also gives a
-basis of the kernel mod a prime p (prime_kernel): the reduced echelon
-form mod p of the block it leaves, back-substituted through its pivot
-rows in reverse order.  Invariant factors, determinants, nullities,
-counts and prime kernels never run more.
+small block, which the reference elimination diagonalizes.  The same
+pivots give a basis of the kernel mod a prime p (prime_kernel): the
+reduced echelon form mod p of the block left, back-substituted through
+the pivot rows in reverse order.  Invariant factors, determinants,
+nullities, counts and prime kernels never run more.
 
 The reference elimination picks the nonzero of smallest absolute value,
 ties by lowest (row, col), and logs its row and column operations; r and
@@ -66,11 +64,10 @@ class IntegerMatrix:
 
     @cached_property
     def nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each row's nonzero entries as (column, value) pairs, one per column.
+        """Each row's nonzero entries as (column, value) pairs in column order.
 
-        Built on first read, in column order, unless whoever built the
-        matrix filled it (coloring_matrix does, in its own order); no part
-        of equality or hashing.
+        Built on first read unless whoever built the matrix filled it
+        (coloring_matrix does); no part of equality or hashing.
         """
         return tuple(tuple(itertools.compress(enumerate(row), row)) for row in self.entries)
 
@@ -135,6 +132,8 @@ class SmithDecomposition:
     """The Smith normal form of a matrix: its invariant factors, and on
     demand the diagonal s with unimodular r, c such that s = r @ matrix @ c.
 
+    The matrix is kept as its shape and its rows' nonzeros (see
+    IntegerMatrix.nonzeros); equality and hashing follow those alone.
     The invariant factors come from the unit-pivot elimination, and its
     record stays here for prime_kernel: pivots lists (column, row) in
     pivot order, each row as a {col: value} dict as it stood when it
@@ -146,23 +145,19 @@ class SmithDecomposition:
     entries as if the transforms had been carried through the
     elimination.  A row operation is (i, j) for a swap, (i,) for a
     negation or (i, j, q) for row_i -= q * row_j; a column operation is
-    (i, j) or (i, j, q) on columns.  Equality and hashing follow the
-    input matrix alone.
+    (i, j) or (i, j, q) on columns.
     """
 
-    matrix: IntegerMatrix
+    shape: tuple[int, int]
+    nonzeros: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
     invariant_factors: tuple[int, ...] = field(compare=False)
     pivots: tuple[tuple[int, dict[int, int]], ...] = field(compare=False, repr=False)
     rest: tuple[dict[int, int], ...] = field(compare=False, repr=False)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.rows, self.matrix.cols
-
     @cached_property
     def _reference(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
         """(row_ops, col_ops) of the reference elimination of the whole matrix."""
-        w = _Worker(self.matrix.nonzeros, self.matrix.cols)
+        w = _Worker(self.nonzeros, self.shape[1])
         factors = _diagonalize(w)
         if factors != self.invariant_factors:
             raise RuntimeError(f"reference elimination gives invariant factors {factors}, "
@@ -336,29 +331,19 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     """The Smith normal form of m: invariant factors now, s = r @ m @ c on demand.
 
     The unit-pivot elimination (_unit_pivots) runs on the nonzeros of m
-    and splits off one factor 1 per pivot.  While the block left has
-    entries with a common factor g > 1, it is divided by g, and the unit
-    pivots of the quotient split off factors of the product of those g
-    so far; the reference elimination diagonalizes the last block, and
-    its factors times that product come last.  The factors are
-    non-negative and each divides the next.  r and c, and the reference elimination of the
-    whole matrix behind them, wait for their first read (see
-    SmithDecomposition), so callers that read only the factors or prime
-    kernels never pay for them.
+    and splits off one factor 1 per pivot; the reference elimination
+    diagonalizes the block left in the other columns, and its factors
+    come last.  The factors are non-negative and each divides the next.
+    r and c, and the reference elimination of the whole matrix behind
+    them, wait for their first read (see SmithDecomposition), so callers
+    that read only the factors or prime kernels never pay for them.
     """
     pivots, rest = _unit_pivots(list(map(dict, m.nonzeros)), m.cols)
-    factors = [1] * len(pivots)
     done = {j for j, _ in pivots}
-    rows, scale = rest, 1
-    while (g := gcd(*(v for row in rows for v in row.values()))) > 1:
-        scale *= g
-        more, rows = _unit_pivots([{j: v // g for j, v in row.items()} for row in rows], m.cols)
-        factors += [scale] * len(more)
-        done.update(j for j, _ in more)
     index = {j: t for t, j in enumerate(j for j in range(m.cols) if j not in done)}
-    block = _Worker([{index[j]: v for j, v in row.items()} for row in rows], len(index))
-    factors += [scale * f for f in _diagonalize(block)]
-    return SmithDecomposition(m, tuple(factors), tuple(pivots), tuple(rest))
+    block = _Worker([{index[j]: v for j, v in row.items()} for row in rest], len(index))
+    factors = (1,) * len(pivots) + _diagonalize(block)
+    return SmithDecomposition((m.rows, m.cols), m.nonzeros, factors, tuple(pivots), tuple(rest))
 
 
 def _unit_pivots(a, nc: int):

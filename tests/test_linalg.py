@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -181,10 +184,19 @@ class TestTransformsOnDemand:
         _ = a.r, a.c  # a cached transform takes no part in equality
         assert a == b
         assert hash(a) == hash(b)
-        assert a.matrix is m
+        assert a.shape == (3, 3) and a.nonzeros == m.nonzeros
         # same factors, different matrices
         assert smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 4]])) != \
             smith_normal_form(IntegerMatrix.from_rows([[4, 0], [0, 2]]))
+
+    def test_decomposition_keeps_no_dense_rows(self):
+        m = coloring_matrix(build_diagram(catalog("9_40")))
+        sd = smith_normal_form(m)
+        gone = weakref.ref(m)
+        del m
+        gc.collect()
+        assert gone() is None  # only the shape and the nonzeros stay
+        assert_valid_decomposition(coloring_matrix(build_diagram(catalog("9_40"))), sd)
 
 
 class TestSolveMod:

@@ -63,9 +63,9 @@ def test_filled_nonzeros_view(name):
     m = coloring_matrix(DIAGRAMS[name])
     bare = IntegerMatrix(m.rows, m.cols, m.entries)
     assert "nonzeros" in vars(m) and "nonzeros" not in vars(bare)
-    assert [dict(row) for row in m.nonzeros] == [dict(row) for row in bare.nonzeros]
-    assert all(len(dict(row)) == len(row) and all(v for _, v in row) for row in m.nonzeros)
+    assert m.nonzeros == bare.nonzeros  # column order either way
     assert m == bare and hash(m) == hash(bare)
+    assert smith_normal_form(m) == smith_normal_form(bare)
 
 
 def test_pivot_rule():
@@ -219,9 +219,8 @@ def test_factor_mismatch_raises_on_first_read_of_c(monkeypatch):
     assert not {"_reference", "c"} & set(vars(sd))
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_factor_mismatch_raises_without_asserts(flags):
+def test_factor_mismatch_raises_under_python_O():
     src = str(Path(__file__).resolve().parent.parent / "src")
-    out = subprocess.run([sys.executable, *flags, "-c", MISMATCH], capture_output=True,
+    out = subprocess.run([sys.executable, "-O", "-c", MISMATCH], capture_output=True,
                          text=True, env={"PYTHONPATH": src}, check=True).stdout
     assert out.startswith("raised: reference elimination gives invariant factors (1, 3, 0)")
