@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import diagram as dia
@@ -40,7 +41,9 @@ def _json_parts(obj, out: list, indent: str) -> None:
     scalar is one C call: dict keys, which must be strings, through
     encode_basestring_ascii (what json.dumps does with a str), values of
     type exactly int (not bool) through int.__repr__, anything else
-    through json.dumps.  A list of plain ints is written by one join.
+    through json.dumps.  A list of plain ints is written by one join, and
+    a list of non-empty lists of plain ints (the colorings enumerate
+    lists) by one join per row, all in C.
     """
     if isinstance(obj, dict) and obj:
         inner = indent + "  "
@@ -52,9 +55,19 @@ def _json_parts(obj, out: list, indent: str) -> None:
         out.append("\n" + indent + "}")
     elif isinstance(obj, (list, tuple)) and obj:
         inner = indent + "  "
-        if set(map(type, obj)) == {int}:
+        types = set(map(type, obj))
+        if types == {int}:
             out.append("[\n" + inner + (",\n" + inner).join(map(int.__repr__, obj))
                        + "\n" + indent + "]")
+            return
+        if types <= {list, tuple} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+            # each row one join, and one shared string between rows
+            deeper = inner + "  "
+            rows = map((",\n" + deeper).join, map(map, repeat(int.__repr__), obj))
+            out.append("[\n" + inner + "[\n" + deeper)
+            out.extend(chain.from_iterable(zip(rows, repeat("\n" + inner + "],\n" + inner
+                                                            + "[\n" + deeper))))
+            out[-1] = "\n" + inner + "]\n" + indent + "]"  # in place of the last one
             return
         sep = "[\n" + inner
         for item in obj:

@@ -16,6 +16,7 @@ crossings and tests each crossing equation once its last arc is set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import filterfalse
 from math import gcd
@@ -120,30 +121,23 @@ def coloring_matrix(d: PlanarDiagram) -> IntegerMatrix:
     Column order follows the arc order of the diagram (sorted by smallest
     edge label), so the matrix is deterministic.  Coincident arcs at a
     crossing accumulate, e.g. a kink row may come out all zero.  The
-    crossing-free diagram has one arc and no row: the 0x1 matrix.  The
-    nonzeros of each row are known from its crossing, so they fill the
-    matrix's nonzeros view, in column order, and the Smith form never
-    scans the zeros.
+    crossing-free diagram has one arc and no row: the 0x1 matrix.  Each
+    row's nonzeros are read off its crossing, in column order, and the
+    matrix holds only those; its dense rows are built if something reads
+    them, and the Smith form never does.
     """
-    n = d.n_arcs
-    rows = []
     nonzeros = []
     for i, k, j in d.crossing_relations:
-        row = [0] * n
-        row[i] += 1
-        row[k] += 1
-        row[j] -= 2
-        rows.append(tuple(row))
         if i != k != j != i:
             lo, hi = (i, k) if i < k else (k, i)
             nonzeros.append(((j, -2), (lo, 1), (hi, 1)) if j < lo else
                             ((lo, 1), (j, -2), (hi, 1)) if j < hi else
                             ((lo, 1), (hi, 1), (j, -2)))
         else:
-            nonzeros.append(tuple((c, row[c]) for c in sorted({i, k, j}) if row[c]))
-    matrix = IntegerMatrix(len(rows), n, tuple(rows))
-    vars(matrix)["nonzeros"] = tuple(nonzeros)  # fills the cached view
-    return matrix
+            row = Counter((i, k))
+            row[j] -= 2
+            nonzeros.append(tuple((c, v) for c, v in sorted(row.items()) if v))
+    return IntegerMatrix.from_nonzeros(d.n_arcs, nonzeros)
 
 
 def profile(d: PlanarDiagram) -> ColoringProfile:

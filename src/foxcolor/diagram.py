@@ -2,8 +2,11 @@
 
 A diagram is given by its PD code: one quadruple of edge labels per
 crossing, read counterclockwise starting at the incoming under-edge, so
-the over-strand occupies positions 2 and 4.  Edges merge into arcs along
-the over-strand, and each crossing contributes the relation
+the over-strand occupies positions 2 and 4.  parse_pd renumbers the
+labels to 1..E in their order, unless they are 1..E already, and every
+PdCode checks its labels and its planarity.  Edges merge into arcs
+along the over-strand (build_diagram, by a union-find read off in one
+ascending pass), and each crossing contributes the relation
 (under-arc, next under-arc, over-arc) that drives the coloring system.
 
 The crossing-free unknot cannot be written as a PD code; it is admitted
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -74,8 +77,8 @@ class PdCode:
                 for e in q:
                     if not _is_label(e) or e < 1:
                         raise PdError(f"edge label {e!r} is not a positive integer")
-        counts = _label_counts(self.crossings)
-        if counts and sorted(counts) != list(range(1, len(counts) + 1)):
+        counts = _label_counts(chain.from_iterable(quads))
+        if counts and max(counts) != len(counts):  # E distinct labels >= 1 are 1..E iff max is E
             raise PdError("edge labels must form 1..E with no gaps")
         genus = _genus(self.mates, self.faces)
         if genus:
@@ -112,9 +115,9 @@ class PdCode:
         return "[" + ",".join("[" + ",".join(map(str, q)) + "]" for q in self.crossings) + "]"
 
 
-def _label_counts(crossings) -> Counter:
+def _label_counts(labels) -> Counter:
     """Occurrences of each edge label; raises unless every label occurs twice."""
-    counts = Counter(e for q in crossings for e in q)
+    counts = Counter(labels)
     bad = sorted(e for e, n in counts.items() if n != 2)
     if bad:
         raise PdError(f"edge labels must occur exactly twice, offending labels: {bad}")
@@ -211,9 +214,13 @@ def parse_pd(text: str) -> PdCode:
             if not isinstance(item, list) or len(item) != 4 or not all(map(_is_label, item)):
                 raise PdError(f"crossing {item!r} is not a quadruple of integers")
             quads.append(tuple(item))
-    labels = sorted(_label_counts(quads))  # before relabeling, so errors name the input's labels
-    relabel = {old: new for new, old in enumerate(labels, start=1)}
-    return PdCode(tuple(tuple(relabel[e] for e in q) for q in quads))
+    # counted before relabeling, so errors name the input's labels
+    labels = sorted(_label_counts(chain.from_iterable(quads)))
+    if labels[0] != 1 or labels[-1] != len(labels):  # not already 1..E
+        relabel = {old: new for new, old in enumerate(labels, start=1)}
+        flat = map(relabel.__getitem__, chain.from_iterable(quads))
+        quads = zip(flat, flat, flat, flat)
+    return PdCode(tuple(quads))
 
 
 @dataclass(frozen=True)
@@ -249,29 +256,36 @@ class PlanarDiagram:
 
 
 def build_diagram(pd: PdCode) -> PlanarDiagram:
-    """Merge edges into arcs (union along each over-strand) and read off relations."""
+    """Merge edges into arcs (union along each over-strand) and read off relations.
+
+    A union links the larger root below the smaller, so no parent exceeds
+    its edge, and each root is its arc's smallest edge.  One ascending
+    pass then meets the roots in arc order and finds every other edge's
+    parent already placed.
+    """
     if not pd.crossings:
         return PlanarDiagram(pd, (frozenset(),), ())
-    parent = {e: e for e in pd.edges()}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = list(range(pd.n_edges + 1))
     for _, b, _, d in pd.crossings:
-        rb, rd = find(b), find(d)
-        if rb != rd:
-            parent[max(rb, rd)] = min(rb, rd)
-
-    classes: dict[int, set[int]] = {}
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        while parent[d] != d:
+            parent[d] = d = parent[parent[d]]
+        if b < d:
+            parent[d] = b
+        elif d < b:
+            parent[b] = d
+    arc = [0] * len(parent)  # arc index of each edge
+    members: list[list[int]] = []
     for e in pd.edges():
-        classes.setdefault(find(e), set()).add(e)
-    arcs = tuple(frozenset(classes[root]) for root in sorted(classes))
-    index = {e: i for i, arc in enumerate(arcs) for e in arc}
-    relations = tuple((index[a], index[c], index[b]) for a, b, c, d in pd.crossings)
-    return PlanarDiagram(pd, arcs, relations)
+        if parent[e] == e:
+            arc[e] = len(members)
+            members.append([e])
+        else:
+            arc[e] = arc[parent[e]]
+            members[arc[e]].append(e)
+    relations = tuple((arc[a], arc[c], arc[b]) for a, b, c, _ in pd.crossings)
+    return PlanarDiagram(pd, tuple(map(frozenset, members)), relations)
 
 
 @dataclass(frozen=True)
@@ -557,29 +571,35 @@ def _r3_rewrite(quads, xi, yi, zi, t, t_side, a_near, b_near):
 
 
 def _renumber(quads):
-    """Canonical relabeling 1..E: breadth-first from the lowest surviving label."""
+    """Canonical relabeling 1..E: breadth-first from the lowest surviving label.
+
+    A label's neighbors, the labels of its crossings, are numbered in
+    ascending order; each crossing adds them once, when first visited.
+    """
     if not quads:
         return ()
-    labels = sorted({e for q in quads for e in q})
-    incident: dict[int, list[int]] = {e: [] for e in labels}
+    incident: dict[int, list[int]] = {}
     for ci, q in enumerate(quads):
-        for e in set(q):
-            incident[e].append(ci)
+        for e in q:
+            incident.setdefault(e, []).append(ci)
+    open_crossings = [True] * len(quads)
     mapping: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for start in labels:
+    for start in sorted(incident):
         if start in mapping:
             continue
         mapping[start] = len(mapping) + 1
-        queue.append(start)
-        while queue:
-            cur = queue.popleft()
-            neighbors = sorted({e for ci in incident[cur] for e in quads[ci]})
-            for e in neighbors:
+        queue = [start]
+        for cur in queue:  # the queue grows as it is read: breadth-first
+            crossings = [ci for ci in incident[cur] if open_crossings[ci]]
+            if not crossings:
+                continue
+            for ci in crossings:
+                open_crossings[ci] = False
+            for e in sorted(set(chain.from_iterable(map(quads.__getitem__, crossings)))):
                 if e not in mapping:
                     mapping[e] = len(mapping) + 1
                     queue.append(e)
-    return tuple(tuple(mapping[e] for e in q) for q in quads)
+    return tuple(tuple(map(mapping.__getitem__, q)) for q in quads)
 
 
 _MOVE_HANDLERS = {

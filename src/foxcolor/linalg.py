@@ -41,7 +41,12 @@ from operator import add, mod, mul
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Immutable dense integer matrix, entries stored row-major."""
+    """Immutable integer matrix, entries stored row-major.
+
+    A matrix built by from_nonzeros holds only its rows' nonzeros and
+    builds the dense entries on first read; equality and hashing read
+    them, so they follow (rows, cols, entries) either way.
+    """
 
     rows: int
     cols: int
@@ -62,12 +67,28 @@ class IntegerMatrix:
         c = len(data[0]) if r else (0 if cols is None else cols)
         return cls(r, c, data)
 
+    @classmethod
+    def from_nonzeros(cls, cols: int, nonzeros) -> "IntegerMatrix":
+        """The matrix whose rows hold these (column, value) pairs, in column
+        order; its dense entries are built on first read."""
+        m = object.__new__(cls)
+        vars(m).update(rows=len(nonzeros), cols=cols, nonzeros=tuple(nonzeros))
+        return m
+
+    def __getattr__(self, name):
+        # the fallback of attribute lookup: builds the entries from_nonzeros left out
+        if name != "entries" or "nonzeros" not in vars(self):
+            raise AttributeError(f"'IntegerMatrix' object has no attribute {name!r}")
+        entries = vars(self)["entries"] = tuple(_dense(dict(row), self.cols)
+                                                for row in self.nonzeros)
+        return entries
+
     @cached_property
     def nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each row's nonzero entries as (column, value) pairs in column order.
 
-        Built on first read unless whoever built the matrix filled it
-        (coloring_matrix does); no part of equality or hashing.
+        Built on first read unless the matrix came from from_nonzeros; no
+        part of equality or hashing.
         """
         return tuple(tuple(itertools.compress(enumerate(row), row)) for row in self.entries)
 

@@ -459,6 +459,9 @@ class TestJsonWriter:
         ["caf\u00e9", "\u03bb x", "\U0001f600", "\u2028"],
         {"z": None, "\u00e9": "\x1f", "": 0, "a b": [True]},
         {"orbits": [{"size": 6, "representative": [0, 0, 1]}], "target": "<pd>"},
+        # lists of int rows, written a row at a time, and the lists that must not be
+        {"colorings": [[0, 0, 0], [2, 1, 0]]}, [[5], (-(2 ** 70), 3)], ([1, 2],),
+        [[1, 2], []], [[1], [True]], [[1], [0.5]], [[1], 2], [[[1]], [2]], [[1], {}],
     ])
     def test_edge_cases(self, capsys, obj):
         cli._emit_json(obj)

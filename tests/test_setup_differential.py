@@ -1,0 +1,226 @@
+"""Differential tests: the matrix set-up path against the bodies it replaced.
+
+The references below are the earlier code of parse_pd (relabel by a
+generator expression over every quadruple), build_diagram (a union-find
+with a nested find), _renumber (a set and a sort per label) and
+coloring_matrix (a dense row per crossing).  On the catalog, seeded
+variants, braid closures of up to 2 000 crossings from the benchmark's
+generator, and codes labelled from 0 or from negative numbers, the new
+code must give the same codes, arcs, relations, canonical labels and
+matrices, and parse_pd the same error messages.
+"""
+
+import json
+import random
+import sys
+from collections import deque
+from pathlib import Path
+
+import pytest
+
+from foxcolor.coloring import coloring_matrix
+from foxcolor.diagram import (_MOVE_HANDLERS, R1_INSERT, MoveSite, PdCode, PdError,
+                              PlanarDiagram, _is_label, _label_counts, _renumber, apply_move_pd,
+                              build_diagram, catalog, catalog_names, parse_pd,
+                              random_move_site_pd, random_variants)
+from foxcolor.linalg import IntegerMatrix
+
+from test_parse_fuzz import fuzz_inputs
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import gen  # noqa: E402  (the benchmark's input generator imports nothing from foxcolor)
+
+
+def reference_parse(text: str) -> PdCode:
+    stripped = text.strip()
+    if stripped == "unknot":
+        return PdCode(())
+    try:
+        raw = json.loads(stripped)
+    except json.JSONDecodeError as exc:
+        raise PdError(f"malformed PD code: {exc}") from None
+    except RecursionError:
+        raise PdError("malformed PD code: lists nested too deeply") from None
+    if not isinstance(raw, list) or not raw:
+        raise PdError("PD code must be a non-empty list of quadruples (or the token 'unknot')")
+    quads = []
+    for item in raw:
+        if not isinstance(item, list) or len(item) != 4 or not all(map(_is_label, item)):
+            raise PdError(f"crossing {item!r} is not a quadruple of integers")
+        quads.append(tuple(item))
+    labels = sorted(_label_counts(e for q in quads for e in q))
+    relabel = {old: new for new, old in enumerate(labels, start=1)}
+    return PdCode(tuple(tuple(relabel[e] for e in q) for q in quads))
+
+
+def reference_build(pd: PdCode) -> PlanarDiagram:
+    if not pd.crossings:
+        return PlanarDiagram(pd, (frozenset(),), ())
+    parent = {e: e for e in pd.edges()}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for _, b, _, d in pd.crossings:
+        rb, rd = find(b), find(d)
+        if rb != rd:
+            parent[max(rb, rd)] = min(rb, rd)
+    classes: dict[int, set[int]] = {}
+    for e in pd.edges():
+        classes.setdefault(find(e), set()).add(e)
+    arcs = tuple(frozenset(classes[root]) for root in sorted(classes))
+    index = {e: i for i, arc in enumerate(arcs) for e in arc}
+    relations = tuple((index[a], index[c], index[b]) for a, b, c, d in pd.crossings)
+    return PlanarDiagram(pd, arcs, relations)
+
+
+def reference_renumber(quads):
+    if not quads:
+        return ()
+    labels = sorted({e for q in quads for e in q})
+    incident: dict[int, list[int]] = {e: [] for e in labels}
+    for ci, q in enumerate(quads):
+        for e in set(q):
+            incident[e].append(ci)
+    mapping: dict[int, int] = {}
+    queue: deque[int] = deque()
+    for start in labels:
+        if start in mapping:
+            continue
+        mapping[start] = len(mapping) + 1
+        queue.append(start)
+        while queue:
+            cur = queue.popleft()
+            neighbors = sorted({e for ci in incident[cur] for e in quads[ci]})
+            for e in neighbors:
+                if e not in mapping:
+                    mapping[e] = len(mapping) + 1
+                    queue.append(e)
+    return tuple(tuple(mapping[e] for e in q) for q in quads)
+
+
+def reference_rows(d: PlanarDiagram) -> list[tuple[int, ...]]:
+    rows = []
+    for i, k, j in d.crossing_relations:
+        row = [0] * d.n_arcs
+        row[i] += 1
+        row[k] += 1
+        row[j] -= 2
+        rows.append(tuple(row))
+    return rows
+
+
+def closure_text(name: str, crossings: int, seed: int) -> str:
+    strands, word = gen.grow(*gen.BRAIDS[name][:2], crossings, random.Random(seed))
+    return gen.pd_text(gen.closure_pd(strands, word))
+
+
+def shifted(text: str, by: int) -> str:
+    return json.dumps([[e + by for e in q] for q in json.loads(text)])
+
+
+CODES = {name: str(catalog(name)) for name in catalog_names()}
+for _name in ("3_1", "4_1", "6_2", "9_40"):
+    for _i, _v in enumerate(random_variants(build_diagram(catalog(_name)), 3, 6, seed=1301)):
+        CODES[f"{_name}~{_i}"] = str(_v.pd)
+for _name, _n in (("9_40", 80), ("7_1", 400), ("6_3", 900), ("7_1", 2000)):
+    CODES[f"{_name}@{_n}"] = closure_text(_name, _n, 1302)
+# a strand over six crossings in a row makes a long arc
+for _word in ((1, 2, 3, 4, 5, 6), (-1, -2, -3, -4, -5, -6), (1, 2, 3, 4, 5, 6) * 2):
+    CODES[str(_word)] = gen.pd_text(gen.closure_pd(7, _word))
+TEXTS = dict(CODES)
+for _name in ("3_1", "9_40", "7_1@400"):
+    TEXTS[f"{_name} from 0"] = shifted(CODES[_name], -1)
+    TEXTS[f"{_name} from -7"] = shifted(CODES[_name], -8)
+    TEXTS[f"{_name} by 5"] = json.dumps([[5 * e for e in q] for q in json.loads(CODES[_name])])
+for _name in ("9_40", "9_40@80", "6_3@900", str((1, 2, 3, 4, 5, 6) * 2)):
+    # the crossings in another order merge an arc's edges in another order;
+    # reversed, the last one builds union-find trees six deep
+    _quads = json.loads(CODES[_name])
+    TEXTS[f"{_name} reversed"] = json.dumps(_quads[::-1])
+    random.Random(1305).shuffle(_quads)
+    TEXTS[f"{_name} shuffled"] = json.dumps(_quads)
+# sorted labels end at their count, yet are not 1..E
+TEXTS["-1 for 1"] = "[[-1,4,2,5],[3,6,4,-1],[5,2,6,3]]"
+
+
+def test_closures_reach_2000_crossings():
+    assert max(parse_pd(t).n_crossings for t in CODES.values()) == 2000
+
+
+@pytest.mark.parametrize("name", TEXTS)
+def test_parse_and_build(name):
+    pd = parse_pd(TEXTS[name])
+    assert pd.crossings == reference_parse(TEXTS[name]).crossings
+    assert all(type(q) is tuple for q in pd.crossings)
+    d, ref = build_diagram(pd), reference_build(pd)
+    assert d.arcs == ref.arcs and d.crossing_relations == ref.crossing_relations
+
+
+def test_relabel_of_the_minus_one_code():
+    assert parse_pd(TEXTS["-1 for 1"]) == parse_pd("[[1,4,2,5],[3,6,4,1],[5,2,6,3]]")
+
+
+def test_parse_errors_match_reference():
+    outcomes = set()
+    for text in fuzz_inputs(seed=1303, count=1500):
+        try:
+            got = parse_pd(text).crossings
+        except PdError as exc:
+            got = str(exc)
+        try:
+            want = reference_parse(text).crossings
+        except PdError as exc:
+            want = str(exc)
+        assert got == want, text
+        outcomes.add(type(got))
+    assert outcomes == {tuple, str}
+
+
+@pytest.mark.parametrize("name", CODES)
+def test_coloring_matrix_equals_the_dense_rows(name):
+    d = build_diagram(parse_pd(CODES[name]))
+    m = coloring_matrix(d)
+    assert "entries" not in vars(m)
+    dense = IntegerMatrix.from_rows(reference_rows(d), d.n_arcs)
+    assert m.nonzeros == dense.nonzeros
+    assert hash(m) == hash(dense) and m == dense  # hashing reads the dense rows
+    assert m.entries == dense.entries and (m.rows, m.cols) == (dense.rows, dense.cols)
+
+
+def test_kink_rows():
+    # kinks make rows with coincident arcs; the unknot's kink a row of zeros
+    codes = [PdCode(((2, 1, 1, 2),)), PdCode(((1, 2, 2, 1),))]
+    for e in (1, 4):
+        for over in (False, True):
+            codes.append(apply_move_pd(catalog("3_1"), MoveSite(R1_INSERT, (e,), over)))
+    coincident = set()
+    for pd in codes:
+        d = build_diagram(pd)
+        dense = IntegerMatrix.from_rows(reference_rows(d), d.n_arcs)
+        m = coloring_matrix(d)
+        assert m.nonzeros == dense.nonzeros and m == dense, pd
+        coincident.update(len(set(rel)) for rel in d.crossing_relations)
+    assert coincident == {1, 2, 3}
+
+
+@pytest.mark.parametrize("name", CODES)
+def test_renumber(name):
+    quads = parse_pd(CODES[name]).crossings
+    rng = random.Random(1304)
+    labels = sorted({e for q in quads for e in q})
+    image = rng.sample(range(-3 * len(labels), 3 * len(labels)), len(labels))
+    scattered = dict(zip(labels, image))
+    assert _renumber([tuple(map(scattered.get, q)) for q in quads]) == \
+        reference_renumber([tuple(map(scattered.get, q)) for q in quads])
+    # the codes the move handlers hand over, before renumbering
+    if len(quads) <= 400:
+        pd = PdCode(quads)
+        for _ in range(6):
+            site = random_move_site_pd(pd, rng)
+            raw = _MOVE_HANDLERS[site.kind](pd, site)
+            assert _renumber(raw) == reference_renumber(raw)
+            pd = PdCode(_renumber(raw))
