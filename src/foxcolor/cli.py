@@ -14,6 +14,7 @@ import sys
 from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import diagram as dia
 from . import coloring as col
@@ -43,7 +44,8 @@ def _json_parts(obj, out: list, indent: str) -> None:
     type exactly int (not bool) through int.__repr__, anything else
     through json.dumps.  A list of plain ints is written by one join, and
     a list of non-empty lists of plain ints (the colorings enumerate
-    lists) by one join per row, all in C.
+    lists) by one join per row of strings formatted once per distinct
+    value, all in C.
     """
     if isinstance(obj, dict) and obj:
         inner = indent + "  "
@@ -61,9 +63,14 @@ def _json_parts(obj, out: list, indent: str) -> None:
                        + "\n" + indent + "]")
             return
         if types <= {list, tuple} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
-            # each row one join, and one shared string between rows
+            # each row one join of its entries' strings, each string built
+            # once per distinct value and ending in the separator, which is
+            # cut from the row's end; one shared string between rows
             deeper = inner + "  "
-            rows = map((",\n" + deeper).join, map(map, repeat(int.__repr__), obj))
+            sep = ",\n" + deeper
+            text = {v: int.__repr__(v) + sep for v in set(chain.from_iterable(obj))}
+            rows = map(itemgetter(slice(-len(sep))),
+                       map("".join, map(map, repeat(text.__getitem__), obj)))
             out.append("[\n" + inner + "[\n" + deeper)
             out.extend(chain.from_iterable(zip(rows, repeat("\n" + inner + "],\n" + inner
                                                             + "[\n" + deeper))))

@@ -33,10 +33,11 @@ order in which solve_mod lists the kernel at any modulus.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from operator import add, mod, mul
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -556,21 +557,31 @@ class ModularKernel:
         The order is that of itertools.product over y_sets(): coordinates
         of size 1 stay at y_j = 0, the others turn like an odometer, the
         last one fastest.  Value t of coordinate j shifts x by t * steps[j]
-        times column j of the transform, mod m.  The free coordinates after
-        the first are folded, innermost first, into one flat block of
-        vectors laid end to end, each fold one comprehension over the
-        block.  For each value of the first free coordinate, operator.add
-        and operator.mod mapped over the block shift it, and zip cuts the
-        result into tuples, all in C.
+        times column j of the transform, mod m.
+
+        A block of vectors is one int of lanes, one entry per lane, the
+        first entry lowest.  A lane is nb bytes, the narrowest of 1, 2, 4,
+        8, 16, ... with 2m <= 2^w, w = 8 * nb, so two entries add without a
+        carry out of their lane.  Adding S, one vector repeated once per
+        vector of block X, mod m is then six big-int operations in C:
+        s = X + S; s -= (((s + ONES * (2^(w-1) - m)) >> (w-1)) & ONES) * m,
+        with a 1 in every lane of ONES: bit w-1 of a lane of
+        s + 2^(w-1) - m is set exactly when that lane of s is at least m.
+
+        The free coordinates after the first are folded, innermost first,
+        into one block: the next block is the current one shifted by
+        column j * steps[j] 0, 1, ..., sizes[j] - 1 times, laid end to
+        end.  The first free coordinate shifts the block the same way, and
+        int.to_bytes with struct.iter_unpack cuts each shifted block into
+        tuples; above m = 2^63 the lanes are wider than 8 bytes and
+        int.from_bytes reads each one.
 
         The walk is lazy at the first free coordinate only: it holds one
-        block, count() / sizes[first] vectors, and a caller that stops
-        early (prime_classes' islice) pays for the blocks it reached.  The
-        folds together make less than two blocks, since every free size is
-        at least 2, so they cost at most one comprehension step (an add
-        and a mod) per entry of the vectors a full walk yields; the shifts
-        and cuts take no interpreter step at all.  A 0-row transform yields
-        count() empty tuples.
+        block, count() / sizes[first] vectors at nb bytes per entry, and a
+        caller that stops early (prime_classes' islice) pays for the blocks
+        it reached.  Each step runs over a whole block, and only the
+        packing of one shift per free coordinate runs once per entry of a
+        vector.  A 0-row transform yields count() empty tuples.
         """
         m = self.modulus
         rows = self.transform.entries
@@ -578,17 +589,43 @@ class ModularKernel:
         if not n:
             yield from itertools.repeat((), self.count())
             return
-        # per free coordinate j, its shifts t * steps[j] * column j, t < sizes[j]
-        shifts = [[tuple(t * self.steps[j] * row[j] % m for row in rows) for t in range(size)]
-                  for j, size in enumerate(self.sizes) if size > 1]
-        lead = shifts.pop(0) if shifts else [(0,) * n]
-        block = [0] * n
-        for coord in reversed(shifts):
-            reps = len(block) // n
-            block = [(a + b) % m for shift in coord for a, b in zip(block, shift * reps)]
-        reps = len(block) // n
-        for shift in lead:
-            yield from zip(*[map(mod, map(add, block, shift * reps), itertools.repeat(m))] * n)
+        nb = 1
+        while 2 * m > 1 << 8 * nb:
+            nb *= 2
+        top = 8 * nb - 1
+        width = n * nb  # bytes per vector
+
+        def turn(block, size, shift):
+            """block, then block + t * shift for t = 1 .. size - 1, lane by lane
+            mod m; shift is one vector, added to every vector of block."""
+            reps = len(block) // width
+            step = int.from_bytes(shift * reps, "little")
+            ones = int.from_bytes((1).to_bytes(nb, "little") * (reps * n), "little")
+            low = ones * ((1 << top) - m)
+            x = int.from_bytes(block, "little")
+            yield block
+            for _ in range(size - 1):
+                x += step
+                x -= (((x + low) >> top) & ones) * m
+                yield x.to_bytes(len(block), "little")
+
+        # per free coordinate j: its size, and steps[j] * column j, the shift of one step
+        free = [(size, b"".join([(step * c % m).to_bytes(nb, "little") for c in column]))
+                for column, step, size in zip(zip(*rows), self.steps, self.sizes) if size > 1]
+        lead = free.pop(0) if free else (1, bytes(width))
+        block = bytes(width)
+        for size, shift in reversed(free):
+            block = b"".join(turn(block, size, shift))
+        if nb <= 8:
+            unpack = struct.Struct(f"<{n}{'BHIQ'[nb.bit_length() - 1]}").iter_unpack
+        else:
+            def unpack(data):
+                cuts = range(0, len(data) + 1, nb)
+                entries = map(int.from_bytes, map(data.__getitem__, map(slice, cuts, cuts[1:])),
+                              itertools.repeat("little"))
+                return zip(*[entries] * n)
+        for data in turn(block, *lead):
+            yield from unpack(data)
 
 
 def solve_mod(sd: SmithDecomposition, modulus: int) -> ModularKernel:

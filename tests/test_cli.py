@@ -462,6 +462,9 @@ class TestJsonWriter:
         # lists of int rows, written a row at a time, and the lists that must not be
         {"colorings": [[0, 0, 0], [2, 1, 0]]}, [[5], (-(2 ** 70), 3)], ([1, 2],),
         [[1, 2], []], [[1], [True]], [[1], [0.5]], [[1], 2], [[[1]], [2]], [[1], {}],
+        # int rows whose entries are negative, above 2^64, alone, or one repeated value
+        [[-1, -2, 0], [-(2 ** 70), 5]], [[2 ** 64 + 1, 2 ** 65], [2 ** 64 + 1]], [[7]],
+        [[0], [1], [0]], [[3, 3, 3], [3, 3]], {"colorings": [[4, 4], [4, 4]]},
     ])
     def test_edge_cases(self, capsys, obj):
         cli._emit_json(obj)

@@ -1,17 +1,20 @@
-"""Differential tests: the block-built kernel walk, the non-trivial
+"""Differential tests: the lane-packed kernel walk, the non-trivial
 filter and the linear orbit partition against the code they replaced.
 
 ModularKernel.vectors used to form c @ y afresh for every y of
-itertools.product over y_sets(); orbit_partition used to map every
-coloring through every group element and to take the least member of
-each orbit.  Both must give the same results in the same order, and a
-walk stopped early must stop at the same vector.  The old code below is
-the reference and lives only here; it maps colorings through the group
-that quandle_oracle lists from the definition, not through build_group.
+itertools.product over y_sets(), and then to shift a block kept as a
+flat list of ints; orbit_partition used to map every coloring through
+every group element and to take the least member of each orbit.  All
+must give the same results in the same order, and a walk stopped early
+must stop at the same vector.  The old code below is the reference and
+lives only here; it maps colorings through the group that
+quandle_oracle lists from the definition, not through build_group.
 """
 
 import itertools
+import math
 import random
+from operator import add, mod
 
 import pytest
 from quandle_oracle import color_group, relabel
@@ -25,6 +28,9 @@ from foxcolor.linalg import IntegerMatrix, ModularKernel, smith_normal_form, sol
 from foxcolor.orbits import AUT, INN, build_group, orbit_partition
 
 MODULI = (6, 9, 15, 25)
+# each side of every lane width: 2m <= 2^8, 2^16, 2^32, 2^64, and beyond
+LANE_MODULI = (2, 3, 127, 128, 129, 255, 256, 257, 2 ** 15 - 1, 2 ** 15 + 1, 2 ** 31 - 1,
+               2 ** 31 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 + 13)
 KNOTS = {name: build_diagram(catalog(name)) for name in catalog_names()}
 LINK_DIAGRAMS = {name: build_diagram(parse_pd(code)) for name, (code, _, _) in LINKS.items()}
 
@@ -34,6 +40,66 @@ def reference_vectors(kernel: ModularKernel) -> list[tuple[int, ...]]:
     cols = kernel.transform.entries
     return [tuple(sum(row[j] * y[j] for j in range(len(y))) % m for row in cols)
             for y in itertools.product(*kernel.y_sets())]
+
+
+def reference_block_vectors(kernel: ModularKernel):
+    """The block walk on a flat list of ints, shifted by operator.add and mod."""
+    m = kernel.modulus
+    rows = kernel.transform.entries
+    n = len(rows)
+    if not n:
+        yield from itertools.repeat((), kernel.count())
+        return
+    shifts = [[tuple(t * kernel.steps[j] * row[j] % m for row in rows) for t in range(size)]
+              for j, size in enumerate(kernel.sizes) if size > 1]
+    lead = shifts.pop(0) if shifts else [(0,) * n]
+    block = [0] * n
+    for coord in reversed(shifts):
+        reps = len(block) // n
+        block = [(a + b) % m for shift in coord for a, b in zip(block, shift * reps)]
+    reps = len(block) // n
+    for shift in lead:
+        yield from zip(*[map(mod, map(add, block, shift * reps), itertools.repeat(m))] * n)
+
+
+def lane_kernels(m: int):
+    """Hand-built kernels whose lane sums reach 0, m - 1, m, m + 1 and 2m - 2.
+
+    A coordinate of step m - 1 runs over y = 0, m - 1, so its shift at
+    y = m - 1 is -c mod m for column entry c.  The first kernel sets
+    those shifts, on three such coordinates, to every combination of
+    values near 0, m/2 and m, one combination per row.
+    """
+    rng = random.Random(m)
+    near = sorted(v for v in {0, 1, 2, m // 2, (m + 1) // 2, m - 2, m - 1} if v < m)
+
+    def entry(shift):  # a column entry whose step m - 1 shift is `shift`, off by a multiple of m
+        return -shift + m * rng.randint(-2, 2)
+
+    def kernel(steps, rows):
+        sizes = tuple(len(range(0, m, s)) for s in steps)
+        return ModularKernel(m, steps, sizes, IntegerMatrix.from_rows(rows, cols=len(steps)))
+
+    combos = list(itertools.product(near, repeat=3))
+    yield kernel((m - 1,) * 3, [[entry(v) for v in c] for c in combos])
+    # size-1 coordinates (step m) between the free ones, with entries that must not count
+    yield kernel((m, m - 1, m, m - 1, m - 1, m),
+                 [[rng.randint(-m, m), entry(a), 2 * m + 1, entry(b), entry(c), -1]
+                  for a, b, c in combos])
+    # a coordinate of size 3 first, then a size-2 one
+    third = -(-m // 3)
+    yield kernel((third, m - 1), [[rng.randint(-2 * m, 2 * m), entry(v)] for v in near])
+    # steps that divide a composite m, as solve_mod makes them
+    sizes = []
+    for d in range(2, min(m, 20)):
+        if m % d == 0 and d * math.prod(sizes) <= 30:
+            sizes.append(d)
+    if sizes:
+        yield kernel(tuple(m // d for d in sizes) + (m - 1,),
+                     [[rng.randint(-2 * m, 2 * m) for _ in sizes] + [entry(v)] for v in near])
+    yield kernel((m, m), [[rng.randint(-m, m), m - 1] for _ in range(3)])  # all sizes 1
+    yield kernel((), [[] for _ in range(4)])  # zero columns
+    yield ModularKernel(m, (m - 1, m, m - 1), (2, 1, 2), IntegerMatrix(0, 3, ()))  # zero rows
 
 
 def reference_partition(colorings, group) -> list[tuple[Coloring, int]]:
@@ -151,6 +217,17 @@ class TestKernelWalk:
             for edge in range(0, len(expected) + 1, block):
                 for stop in {max(edge - 1, 0), edge, edge + 1}:
                     assert list(itertools.islice(kernel.vectors(), stop)) == expected[:stop]
+
+    @pytest.mark.parametrize("m", LANE_MODULI)
+    def test_lane_boundaries(self, m):
+        # in order and stopped after every vector, against both references
+        for kernel in lane_kernels(m):
+            expected = reference_vectors(kernel)
+            assert list(kernel.vectors()) == list(reference_block_vectors(kernel)) == expected
+            for stop in range(len(expected) + 1):
+                assert (list(itertools.islice(kernel.vectors(), stop))
+                        == list(itertools.islice(reference_block_vectors(kernel), stop))
+                        == expected[:stop])
 
     def test_nontrivial_filter_keeps_walk_order(self):
         for d in KNOTS.values():
