@@ -152,8 +152,8 @@ def cmd_analyze(args) -> int:
         if m < 2:
             return _fail("--mod must be at least 2", EXIT_INPUT)
         payload["mod"] = m
-        payload["colorings"] = pr.count(m)
-        payload["nontrivial"] = pr.count(m) - m
+        payload["colorings"] = total = pr.count(m)
+        payload["nontrivial"] = total - m
         if col.is_odd_prime(m):
             payload["nullity"] = pr.nullity(m)
     if args.json:

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import filterfalse
 from math import gcd
+from operator import mul
 
 from .diagram import PlanarDiagram
 from .linalg import (IntegerMatrix, SmithDecomposition, _rref_mod_p, prime_kernel,
@@ -54,10 +55,6 @@ class Coloring:
         m = self.modulus
         v = self.values
         return all((v[i] + v[k] - 2 * v[j]) % m == 0 for i, k, j in d.crossing_relations)
-
-    def to_json_dict(self) -> dict:
-        return {"modulus": self.modulus,
-                "values": {str(i): v for i, v in enumerate(self.values)}}
 
 
 @dataclass(frozen=True)
@@ -270,33 +267,38 @@ def brute_force_colorings(d: PlanarDiagram, m: int,
     return [Coloring(m, x) for x in sorted(found)]
 
 
+def _generators(d: PlanarDiagram, p: int) -> dict[int, list[int]]:
+    """Each generating arc with its p-coloring row (see generating_arcs)."""
+    if not is_odd_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    basis = zip(*prime_kernel(profile(d).smith, p).transform.entries)
+    lead, rows = _rref_mod_p([x[::-1] for x in basis], p)
+    return {d.n_arcs - 1 - j: row[::-1] for j, row in zip(lead, rows)}
+
+
 def generating_arcs(d: PlanarDiagram, p: int) -> frozenset[int]:
     """A set of arcs whose colors determine every p-coloring uniquely.
 
-    Computed as the non-pivot columns of the coloring matrix reduced mod p;
-    its size equals the p-nullity.
+    They are the non-pivot columns of the coloring matrix reduced mod p,
+    as many as the p-nullity.  Column j depends on the columns before it
+    exactly when some p-coloring has its last nonzero value at arc j, so
+    they are read off the F_p kernel basis of prime_kernel: each vector
+    reversed, in reduced echelon form, has pivots n-1-j at just those j.
     """
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    pivots, _ = _rref_mod_p(coloring_matrix(d), p)
-    return frozenset(c for c in range(d.n_arcs) if c not in pivots)
+    return frozenset(_generators(d, p))
 
 
 def extend_coloring(d: PlanarDiagram, p: int, assignment: dict[int, int]) -> Coloring:
     """The unique p-coloring taking the given values on the generating arcs.
 
     `assignment` maps every generating arc (column index) to a residue.
+    Each reduced row behind generating_arcs, reversed, is the coloring
+    that is 1 at its arc and 0 at the other generating arcs; their sum
+    weighted by the assignment, mod p, is the coloring.
     """
-    if not is_odd_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    pivots, rows = _rref_mod_p(coloring_matrix(d), p)
-    free = [c for c in range(d.n_arcs) if c not in pivots]
-    if set(assignment) != set(free):
-        raise ValueError(f"assignment must cover exactly the generating arcs {sorted(free)}")
-    values = [0] * d.n_arcs
-    for c in free:
-        values[c] = assignment[c] % p
-    for prow, pcol in zip(rows, pivots):
-        acc = sum(prow[c] * values[c] for c in free)
-        values[pcol] = (-acc) % p
-    return Coloring(p, tuple(values))
+    gens = _generators(d, p)
+    if set(assignment) != set(gens):
+        raise ValueError(f"assignment must cover exactly the generating arcs {sorted(gens)}")
+    values = [assignment[a] for a in gens]
+    return Coloring(p, tuple(sum(map(mul, column, values)) % p
+                             for column in zip(*gens.values())))

@@ -142,12 +142,6 @@ class IntegerMatrix:
         rows = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
         return IntegerMatrix(len(row_idx), len(col_idx), rows)
 
-    def to_json_dict(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "entries": [list(r) for r in self.entries]}
-
-    def __str__(self) -> str:
-        return "[" + ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.entries) + "]"
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -654,9 +648,7 @@ def prime_kernel(sd: SmithDecomposition, p: int) -> ModularKernel:
     nc = sd.shape[1]
     done = {j for j, _ in sd.pivots}
     keep = [j for j in range(nc) if j not in done]
-    block = IntegerMatrix(len(sd.rest), len(keep),
-                          tuple(tuple(row.get(j, 0) for j in keep) for row in sd.rest))
-    lead, reduced = _rref_mod_p(block, p)
+    lead, reduced = _rref_mod_p([[row.get(j, 0) for j in keep] for row in sd.rest], p)
     basis = []
     for f in range(len(keep)):
         if f in lead:
@@ -673,10 +665,11 @@ def prime_kernel(sd: SmithDecomposition, p: int) -> ModularKernel:
     return ModularKernel(p, (1,) * k, (p,) * k, transform)
 
 
-def _rref_mod_p(matrix: IntegerMatrix, p: int):
-    """Reduced row echelon form over Z/pZ; returns (pivot_cols, reduced_rows)."""
-    rows = [[x % p for x in row] for row in matrix.entries]
-    nc = matrix.cols
+def _rref_mod_p(rows, p: int):
+    """Reduced row echelon form over Z/pZ of rows of equal length; returns
+    (pivot_cols, reduced_rows)."""
+    rows = [[x % p for x in row] for row in rows]
+    nc = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for col in range(nc):

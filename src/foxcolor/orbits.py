@@ -37,6 +37,7 @@ from .linalg import IntegerMatrix, ModularKernel, _rref_mod_p, prime_kernel
 AUT = "aut"
 INN = "inn"
 DEFAULT_SEED = 101
+VARIANT_MOVES = 3
 
 
 @dataclass(frozen=True)
@@ -179,15 +180,12 @@ def prime_classes(pr: ColoringProfile, kind: str, p: int) -> tuple[int, list[tup
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     size, lead_stop = (p * (p - 1), 2) if kind == AUT else (2 * p, (p + 1) // 2)
-    kernel = prime_kernel(pr.smith, p)
-    basis = tuple(zip(*kernel.transform.entries))
-    n_arcs = pr.smith.shape[1]
-    _, rows = _rref_mod_p(IntegerMatrix(len(basis), n_arcs, basis), p)
+    _, rows = _rref_mod_p(zip(*prime_kernel(pr.smith, p).transform.entries), p)
     rows = rows[1:]  # drop the constants' row, the one with pivot arc 0
     k = len(rows)
     if k == 0:
         return size, []
-    span = IntegerMatrix(n_arcs, k, tuple(zip(*rows)))
+    span = IntegerMatrix(pr.smith.shape[1], k, tuple(zip(*rows)))
     walk = ModularKernel(p, (1,) * k, (p,) * k, span).vectors()
     reps: list[tuple[int, ...]] = []
     done = 0
@@ -252,10 +250,11 @@ class VerifyReport:
 
 
 def verify_counts(d: PlanarDiagram, primes: Sequence[int], *, label: str = "diagram",
-                  variants: int = 3, moves_per_variant: int = 3, seed: int = DEFAULT_SEED,
+                  variants: int = 3, seed: int = DEFAULT_SEED,
                   budget: int = ENUMERATION_BUDGET) -> tuple[VerifyReport, ...]:
     """Check predicted class counts against brute-force orbits, and their
-    stability across seeded R1/R2 variants of the diagram, for each prime.
+    stability across seeded variants of the diagram, VARIANT_MOVES R1/R2
+    moves each, for each prime.
 
     Every prime is validated before any work.  The variants are built
     once and the diagram and each variant are decomposed once, by
@@ -272,7 +271,7 @@ def verify_counts(d: PlanarDiagram, primes: Sequence[int], *, label: str = "diag
         if not is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
     base = profile(d)
-    others = [profile(v) for v in random_variants(d, variants, moves_per_variant, seed)]
+    others = [profile(v) for v in random_variants(d, variants, VARIANT_MOVES, seed)]
     return tuple(_verify_prime(base, others, p, label, budget) for p in primes)
 
 

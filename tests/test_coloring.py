@@ -1,4 +1,3 @@
-import json
 from math import gcd, isqrt
 
 import pytest
@@ -315,11 +314,6 @@ class TestColoringValue:
     def test_trivial_flag(self):
         assert Coloring(5, (2, 2, 2)).is_trivial
         assert not Coloring(5, (1, 2, 2)).is_trivial
-
-    def test_json_shape(self):
-        c = Coloring(5, (0, 1, 4))
-        blob = json.dumps(c.to_json_dict(), sort_keys=True)
-        assert json.loads(blob) == {"modulus": 5, "values": {"0": 0, "1": 1, "2": 4}}
 
     def test_satisfies(self):
         assert Coloring(3, (0, 1, 2)).satisfies(TREFOIL)

@@ -246,10 +246,6 @@ class TestIntegerMatrix:
         with pytest.raises(ValueError):
             IntegerMatrix.identity(2) @ IntegerMatrix.identity(3)
 
-    def test_json_shape(self):
-        m = IntegerMatrix.from_rows([[1, 2], [3, 4]])
-        assert m.to_json_dict() == {"rows": 2, "cols": 2, "entries": [[1, 2], [3, 4]]}
-
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             IntegerMatrix.from_rows([[1, 2], [3]])

@@ -8,6 +8,9 @@ minor-gcd oracle's up to 6x6.  prime_kernel spans the F_p kernel from
 the same pivots; its walk must list exactly the colorings that the walk
 over the reference transform c lists, that the exhaustive search finds,
 and, on random small matrices, that a search over all of F_p^n finds.
+generating_arcs and extend_coloring read the same F_p kernel; they must
+give the generating sets and colorings of the dense reduction of the
+whole coloring matrix mod p that they replace.
 """
 
 import itertools
@@ -20,7 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import foxcolor.linalg as linalg
-from foxcolor.coloring import brute_force_colorings, coloring_matrix, profile
+from foxcolor.coloring import (brute_force_colorings, coloring_matrix, extend_coloring,
+                               generating_arcs, profile)
 from foxcolor.diagram import build_diagram, catalog, catalog_names, parse_pd, random_variants
 from foxcolor.linalg import IntegerMatrix, minor_gcd_factors, prime_kernel, smith_normal_form
 
@@ -36,6 +40,8 @@ for _name, _d in BASE.items():
 # variants grown to 193 and 568 crossings
 for _name, _moves in (("7_1", 120), ("9_40", 380)):
     (DIAGRAMS[f"{_name}~{_moves}"],) = random_variants(BASE[_name], 1, _moves, seed=1202)
+# what the dense reference below reduces in well under a second
+DENSE = [name for name, d in DIAGRAMS.items() if d.n_arcs <= 200]
 
 
 def reference_factors(m: IntegerMatrix) -> tuple[int, ...]:
@@ -105,6 +111,68 @@ def test_prime_colorings_leave_c_unbuilt(name):
         assert len(walked) == pr.count(p) - p
         assert all(not c.is_trivial for c in walked)
     assert not {"_reference", "c"} & set(vars(pr.smith))
+
+
+def reference_generators(d, p):
+    """The dense path generating_arcs and extend_coloring replace: the
+    reduced echelon form of the whole coloring matrix mod p, as
+    (generating arcs, pivot columns, reduced rows); the generating arcs
+    are the non-pivot columns."""
+    rows = [[x % p for x in row] for row in coloring_matrix(d).entries]
+    pivots = []
+    for col in range(d.n_arcs):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [(a - row[col] * b) % p for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    free = [c for c in range(d.n_arcs) if c not in pivots]
+    return free, pivots, rows[:len(pivots)]
+
+
+def reference_extend(reference, p, assignment):
+    """Back-substitution through the reduced rows of reference_generators."""
+    free, pivots, rows = reference
+    values = [0] * (len(free) + len(pivots))
+    for c in free:
+        values[c] = assignment[c] % p
+    for row, col in zip(rows, pivots):
+        values[col] = -sum(row[c] * values[c] for c in free) % p
+    return tuple(values)
+
+
+@pytest.mark.parametrize("name", DENSE)
+def test_generators_match_the_dense_reference(name):
+    d = DIAGRAMS[name]
+    rng = random.Random(1205)
+    for p in PRIMES:
+        reference = reference_generators(d, p)
+        free = reference[0]
+        assert generating_arcs(d, p) == frozenset(free), p
+        if p ** len(free) <= 125:
+            assignments = itertools.product(range(p), repeat=len(free))
+        else:
+            assignments = ([rng.randrange(-p, 2 * p) for _ in free] for _ in range(40))
+        for values in assignments:
+            assignment = dict(zip(free, values))
+            got = extend_coloring(d, p, assignment)
+            assert got.values == reference_extend(reference, p, assignment), (p, assignment)
+            assert got.modulus == p and got.satisfies(d)
+        with pytest.raises(ValueError, match=rf"generating arcs \[{', '.join(map(str, free))}\]$"):
+            extend_coloring(d, p, dict.fromkeys(free[1:] + [d.n_arcs], 1))
+
+
+def test_dense_reference_covers_kinks_and_nullity_3():
+    kinked = [name for name in DENSE
+              if any(len({*rel}) < 3 for rel in DIAGRAMS[name].crossing_relations)]
+    assert len(kinked) >= 30 and "7_1~120" in kinked
+    assert max(profile(DIAGRAMS[name]).nullity(5) for name in DENSE) == 3
 
 
 def random_matrix(rng, rows, cols, values):
