@@ -6,10 +6,8 @@ from .diagram import (MoveError, MoveSite, PdCode, PdError, PlanarDiagram,
                       apply_move, build_diagram, catalog, catalog_names,
                       parse_pd, random_variants)
 from .linalg import (IntegerMatrix, ModularKernel, SmithDecomposition,
-                     minor_gcd_factors, prime_kernel, smith_normal_form,
-                     solve_mod)
-from .coloring import (Coloring, ColoringProfile,
-                       EnumerationBudgetError, brute_force_colorings,
+                     prime_kernel, smith_normal_form, solve_mod)
+from .coloring import (Coloring, ColoringProfile, EnumerationBudgetError,
                        coloring_matrix, count_colorings, enumerate_colorings,
                        extend_coloring, generating_arcs, link_determinant,
                        p_nullity, profile)
@@ -23,11 +21,11 @@ __all__ = [
     "Coloring", "ColoringProfile", "EnumerationBudgetError", "GroupSpec",
     "IntegerMatrix", "ModularKernel", "MoveError", "MoveSite", "Orbit",
     "OrbitPartition", "PdCode", "PdError", "PlanarDiagram", "SmithDecomposition",
-    "VerifyReport", "apply_move", "brute_force_colorings",
+    "VerifyReport", "apply_move",
     "build_diagram", "build_group", "catalog", "catalog_names",
     "coloring_matrix", "count_colorings",
     "enumerate_colorings", "extend_coloring", "generating_arcs",
-    "link_determinant", "minor_gcd_factors", "orbit_partition", "parse_pd",
+    "link_determinant", "orbit_partition", "parse_pd",
     "p_nullity", "predicted_class_count", "prime_classes", "prime_kernel", "profile",
     "random_variants",
     "smith_normal_form", "solve_mod", "verify_counts",

@@ -6,12 +6,9 @@ on the arc variables.  Every diagram has a coloring matrix; the
 crossing-free one is the 0x1 matrix of its single arc.  The Smith form of
 that integer matrix yields the link determinant, the mod-p nullity, and
 exact coloring counts for any modulus; kernel enumeration produces the
-colorings themselves.
-
-brute_force_colorings is the oracle that shares no code with the Smith
-form: a backtracking search over all m^arcs assignments (refused when
-m^arcs exceeds its budget) that sets the arcs breadth-first over shared
-crossings and tests each crossing equation once its last arc is set.
+colorings themselves.  The oracle that shares no code with the Smith
+form, an exhaustive search over all m^arcs assignments, lives in
+tests/coloring_oracle.py.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from .linalg import (IntegerMatrix, SmithDecomposition, _rref_mod_p, prime_kerne
                      smith_normal_form, solve_mod)
 
 ENUMERATION_BUDGET = 10 ** 6
-BRUTE_FORCE_BUDGET = 10 ** 8
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
@@ -47,9 +43,6 @@ class Coloring:
     @property
     def is_trivial(self) -> bool:
         return len(set(self.values)) <= 1
-
-    def n_colors(self) -> int:
-        return len(set(self.values))
 
     def satisfies(self, d: PlanarDiagram) -> bool:
         m = self.modulus
@@ -221,50 +214,6 @@ def enumerate_colorings(d: PlanarDiagram, m: int, nontrivial_only: bool = False,
                         budget: int = ENUMERATION_BUDGET) -> list[Coloring]:
     """All m-colorings of the diagram; see ColoringProfile.colorings."""
     return profile(d).colorings(m, nontrivial_only, budget)
-
-
-def brute_force_colorings(d: PlanarDiagram, m: int,
-                          budget: int = BRUTE_FORCE_BUDGET) -> list[Coloring]:
-    """Oracle: the assignments mod m that satisfy every crossing equation, sorted.
-
-    An exhaustive backtracking search.  Arcs are set breadth-first over
-    shared crossings, one component after another, each from its lowest
-    arc, and each takes every value 0..m-1 in turn.  A crossing equation is
-    tested once, when the last of its three arcs is set, and only a failed
-    test cuts a branch.  The budget bounds m^arcs, the number of leaves of
-    the unpruned tree, and is checked before any search.
-    """
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    n = d.n_arcs
-    if m ** n > budget:
-        raise EnumerationBudgetError(f"{m}^{n} assignments exceed budget {budget}")
-    rels = d.crossing_relations
-    order: list[int] = []
-    for start in range(n):
-        if start not in order:
-            order.append(start)
-            for a in order:  # also reaches the arcs appended below: breadth-first
-                order += sorted({b for rel in rels if a in rel for b in rel}.difference(order))
-    depth = {arc: t for t, arc in enumerate(order)}
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for rel in rels:
-        checks[max(depth[a] for a in rel)].append(rel)
-    values = [0] * n
-    found: list[tuple[int, ...]] = []
-
-    def search(t: int) -> None:
-        if t == n:
-            found.append(tuple(values))
-            return
-        arc, tests = order[t], checks[t]
-        for v in range(m):
-            values[arc] = v
-            if all((values[i] + values[k] - 2 * values[j]) % m == 0 for i, k, j in tests):
-                search(t + 1)
-
-    search(0)
-    return [Coloring(m, x) for x in sorted(found)]
 
 
 def _generators(d: PlanarDiagram, p: int) -> dict[int, list[int]]:

@@ -1,5 +1,5 @@
-"""Exact integer matrices, Smith normal form with unimodular transforms,
-and kernels over Z/mZ.
+"""Exact integer matrices, Smith normal form with a unimodular column
+transform, and kernels over Z/mZ.
 
 Everything here uses Python's arbitrary-precision integers; intermediate
 entries during diagonalization routinely leave machine range.
@@ -21,13 +21,14 @@ the pivot rows in reverse order.  Invariant factors, determinants,
 nullities, counts and prime kernels never run more.
 
 The reference elimination picks the nonzero of smallest absolute value,
-ties by lowest (row, col), and logs its row and column operations; r and
-c are built from the logs on first access.  On the whole matrix it runs
-only when row_ops, col_ops, r or c is first read, and its factors are
-then checked against the unit-pivot ones.  Its pivot rule and output,
-s, r and c entry for entry, are those of dense elimination, which
-tests/test_snf_differential.py keeps as the reference, and c fixes the
-order in which solve_mod lists the kernel at any modulus.
+ties by lowest (row, col), and logs its column operations.  On the whole
+matrix it runs only when c is first read; its factors are then checked
+against the unit-pivot ones, and c is built from the log.  Its pivot
+rule and output, factors and c entry for entry, are those of dense
+elimination, which tests/test_snf_differential.py keeps as the
+reference, and c fixes the order in which solve_mod lists the kernel at
+any modulus.  The oracles the tests hold this module to, the minor-gcd
+factors and dense determinants and products, live in tests/smith_oracle.py.
 """
 
 from __future__ import annotations
@@ -93,75 +94,24 @@ class IntegerMatrix:
         """
         return tuple(tuple(itertools.compress(enumerate(row), row)) for row in self.entries)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    def __getitem__(self, pos: tuple[int, int]) -> int:
-        i, j = pos
-        return self.entries[i][j]
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = tuple(zip(*other.entries)) if other.entries else tuple(() for _ in range(other.cols))
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
-        )
-        if not data:
-            return IntegerMatrix(self.rows, other.cols, ())
-        return IntegerMatrix(self.rows, other.cols, data)
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-    def submatrix(self, row_idx, col_idx) -> "IntegerMatrix":
-        rows = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
-        return IntegerMatrix(len(row_idx), len(col_idx), rows)
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """The Smith normal form of a matrix: its invariant factors, and on
-    demand the diagonal s with unimodular r, c such that s = r @ matrix @ c.
+    """The Smith normal form of a matrix: its invariant factors d_i, and on
+    demand a unimodular c with matrix @ c = u @ s for some unimodular u,
+    s the diagonal of the d_i; so column i of matrix @ c is a multiple of
+    d_i, and zero where d_i is 0 or past the factors.
 
     The matrix is kept as its shape and its rows' nonzeros (see
     IntegerMatrix.nonzeros); equality and hashing follow those alone.
     The invariant factors come from the unit-pivot elimination, and its
     record stays here for prime_kernel: pivots lists (column, row) in
     pivot order, each row as a {col: value} dict as it stood when it
-    pivoted, and rest the rows left without a unit.  The reference
-    elimination of the whole matrix runs on the first read of row_ops,
-    col_ops, r or c, and raises RuntimeError if its factors differ.  s, r
-    and c are built on first access and cached: s from the factors, r and
-    c by replaying the reference logs onto identities, with the same
-    entries as if the transforms had been carried through the
-    elimination.  A row operation is (i, j) for a swap, (i,) for a
-    negation or (i, j, q) for row_i -= q * row_j; a column operation is
-    (i, j) or (i, j, q) on columns.
+    pivoted, and rest the rows left without a unit.  c is built on first
+    read and cached: the reference elimination of the whole matrix runs,
+    raises RuntimeError if its factors differ, and its column operations
+    are replayed onto the identity, which gives the entries c would have
+    had if carried through the elimination.
     """
 
     shape: tuple[int, int]
@@ -171,39 +121,14 @@ class SmithDecomposition:
     rest: tuple[dict[int, int], ...] = field(compare=False, repr=False)
 
     @cached_property
-    def _reference(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """(row_ops, col_ops) of the reference elimination of the whole matrix."""
-        w = _Worker(self.nonzeros, self.shape[1])
+    def c(self) -> IntegerMatrix:
+        n = self.shape[1]
+        w = _Worker(self.nonzeros, n)
         factors = _diagonalize(w)
         if factors != self.invariant_factors:
             raise RuntimeError(f"reference elimination gives invariant factors {factors}, "
                                f"unit pivots gave {self.invariant_factors}")
-        return tuple(w.row_ops), tuple(w.col_ops)
-
-    @property
-    def row_ops(self) -> tuple[tuple[int, ...], ...]:
-        return self._reference[0]
-
-    @property
-    def col_ops(self) -> tuple[tuple[int, ...], ...]:
-        return self._reference[1]
-
-    @cached_property
-    def s(self) -> IntegerMatrix:
-        nr, nc = self.shape
-        f = self.invariant_factors
-        return IntegerMatrix(nr, nc, tuple(_dense({i: f[i]} if i < len(f) else {}, nc)
-                                           for i in range(nr)))
-
-    @cached_property
-    def r(self) -> IntegerMatrix:
-        n = self.shape[0]
-        return IntegerMatrix(n, n, tuple(_dense(row, n) for row in _replay(n, self.row_ops)))
-
-    @cached_property
-    def c(self) -> IntegerMatrix:
-        n = self.shape[1]
-        cols = (_dense(col, n) for col in _replay(n, self.col_ops))
+        cols = (_dense(col, n) for col in _replay(n, w.col_ops))
         return IntegerMatrix(n, n, tuple(zip(*cols)))
 
     def padded_factors(self) -> tuple[int, ...]:
@@ -222,8 +147,8 @@ class _Worker:
     Rows of a are {col: value} dicts holding nonzeros only, copied from
     the rows of an nc-column matrix given as dicts or (col, value) pairs;
     cols[j] is the set of rows with a nonzero in column j.  Each operation
-    is applied to a and appended to row_ops or col_ops in
-    SmithDecomposition's format.
+    is applied to a, and each column operation is appended to col_ops as
+    (i, j) for a swap or (i, j, q) for col_i -= q * col_j.
     """
 
     def __init__(self, rows, nc: int):
@@ -234,7 +159,6 @@ class _Worker:
         for i, row in enumerate(self.a):
             for j in row:
                 self.cols[j].add(i)
-        self.row_ops = []
         self.col_ops = []
 
     def row_swap(self, i, j):
@@ -248,7 +172,6 @@ class _Worker:
         for k in aj:
             self.cols[k].add(i)
         self.a[i], self.a[j] = aj, ai
-        self.row_ops.append((i, j))
 
     def col_swap(self, i, j):
         for r in self.cols[i] | self.cols[j]:
@@ -263,14 +186,12 @@ class _Worker:
 
     def row_negate(self, i):
         self.a[i] = {k: -v for k, v in self.a[i].items()}
-        self.row_ops.append((i,))
 
     def row_sub(self, i, j, q):
         """row_i -= q * row_j"""
         target = self.a[i]
         for k, v in self.a[j].items():
             self._store(target, i, k, target.get(k, 0) - q * v)
-        self.row_ops.append((i, j, q))
 
     def col_sub(self, i, j, q):
         """col_i -= q * col_j"""
@@ -294,11 +215,8 @@ class _Worker:
 
 
 def _replay(n, ops):
-    """Apply a row- or column-operation log to the n x n identity.
-
-    Returns the transformed rows (or, for a column log, columns) as
-    {index: value} dicts.
-    """
+    """Apply a column-operation log to the n x n identity; returns its
+    columns as {index: value} dicts."""
     vecs = [{i: 1} for i in range(n)]
     for op in ops:
         if len(op) == 3:
@@ -310,12 +228,9 @@ def _replay(n, ops):
                     target[k] = x
                 else:
                     del target[k]
-        elif len(op) == 2:
+        else:
             i, j = op
             vecs[i], vecs[j] = vecs[j], vecs[i]
-        else:
-            (i,) = op
-            vecs[i] = {k: -v for k, v in vecs[i].items()}
     return vecs
 
 
@@ -344,15 +259,15 @@ def _find_pivot(a, s):
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
-    """The Smith normal form of m: invariant factors now, s = r @ m @ c on demand.
+    """The Smith normal form of m: invariant factors now, c on demand.
 
     The unit-pivot elimination (_unit_pivots) runs on the nonzeros of m
     and splits off one factor 1 per pivot; the reference elimination
     diagonalizes the block left in the other columns, and its factors
     come last.  The factors are non-negative and each divides the next.
-    r and c, and the reference elimination of the whole matrix behind
-    them, wait for their first read (see SmithDecomposition), so callers
-    that read only the factors or prime kernels never pay for them.
+    c, and the reference elimination of the whole matrix behind it,
+    waits for its first read (see SmithDecomposition), so callers that
+    read only the factors or prime kernels never pay for it.
     """
     pivots, rest = _unit_pivots(list(map(dict, m.nonzeros)), m.cols)
     done = {j for j, _ in pivots}
@@ -423,7 +338,7 @@ def _diagonalize(w: _Worker) -> tuple[int, ...]:
 
     Pivots are chosen by smallest nonzero absolute value with (row, col)
     tie-breaking, the same pivots as dense elimination under this rule,
-    and every operation is logged in w.  Diagonal entries come out
+    and every column operation is logged in w.  Diagonal entries come out
     non-negative and each divides the next; a unit pivot skips the
     divisibility check.
     """
@@ -495,39 +410,14 @@ def _nondivisible(w: _Worker, s: int):
     return None
 
 
-def minor_gcd_factors(m: IntegerMatrix, max_dim: int = 6) -> tuple[int, ...]:
-    """Invariant factors from gcds of k x k minors.
-
-    d_1 * ... * d_k equals the gcd of all k x k minors, which gives an
-    oracle for smith_normal_form that shares no code with it.  Exponential
-    in the dimension, hence the size guard.
-    """
-    lim = min(m.rows, m.cols)
-    if lim > max_dim:
-        raise ValueError(f"minor oracle limited to min dimension {max_dim}")
-    factors = []
-    g_prev = 1
-    for k in range(1, lim + 1):
-        g = 0
-        for rows in itertools.combinations(range(m.rows), k):
-            for cols in itertools.combinations(range(m.cols), k):
-                g = gcd(g, m.submatrix(rows, cols).det())
-        if g == 0:
-            factors.extend([0] * (lim - len(factors)))
-            break
-        factors.append(g // g_prev)
-        g_prev = g
-    return tuple(factors)
-
-
 @dataclass(frozen=True)
 class ModularKernel:
     """Solutions of m @ x = 0 over Z/modZ as x = transform @ y (mod modulus),
     each y_i running over the multiples of steps[i], sizes[i] values.
 
-    From solve_mod the transform is c of the Smith form s = r @ m @ c and
-    step_i = mod // gcd(d_i, mod), column positions beyond the diagonal
-    behaving like zero factors.  From prime_kernel it is a basis of the
+    From solve_mod the transform is c of the Smith form (see
+    SmithDecomposition) and step_i = mod // gcd(d_i, mod), column
+    positions beyond the diagonal behaving like zero factors.  From prime_kernel it is a basis of the
     kernel over F_p, every step 1 and every size p.
     """
 
@@ -542,13 +432,11 @@ class ModularKernel:
             n *= size
         return n
 
-    def y_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(range(0, self.modulus, step)) for step in self.steps)
-
     def vectors(self):
         """Yield solution vectors x in lexicographic order of the free vector y.
 
-        The order is that of itertools.product over y_sets(): coordinates
+        The order is that of itertools.product over the ranges
+        range(0, modulus, steps[j]), one per coordinate j: coordinates
         of size 1 stay at y_j = 0, the others turn like an odometer, the
         last one fastest.  Value t of coordinate j shifts x by t * steps[j]
         times column j of the transform, mod m.

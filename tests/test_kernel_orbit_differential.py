@@ -2,13 +2,14 @@
 filter and the linear orbit partition against the code they replaced.
 
 ModularKernel.vectors used to form c @ y afresh for every y of
-itertools.product over y_sets(), and then to shift a block kept as a
-flat list of ints; orbit_partition used to map every coloring through
-every group element and to take the least member of each orbit.  All
-must give the same results in the same order, and a walk stopped early
-must stop at the same vector.  The old code below is the reference and
-lives only here; it maps colorings through the group that
-quandle_oracle lists from the definition, not through build_group.
+itertools.product over the ranges range(0, m, step), one per kernel
+step, and then to shift a block kept as a flat list of ints;
+orbit_partition used to map every coloring through every group element
+and to take the least member of each orbit.  All must give the same
+results in the same order, and a walk stopped early must stop at the
+same vector.  The old code below is the reference and lives only here;
+it maps colorings through the group that quandle_oracle lists from the
+definition, not through build_group.
 """
 
 import itertools
@@ -39,7 +40,7 @@ def reference_vectors(kernel: ModularKernel) -> list[tuple[int, ...]]:
     m = kernel.modulus
     cols = kernel.transform.entries
     return [tuple(sum(row[j] * y[j] for j in range(len(y))) % m for row in cols)
-            for y in itertools.product(*kernel.y_sets())]
+            for y in itertools.product(*(range(0, m, step) for step in kernel.steps))]
 
 
 def reference_block_vectors(kernel: ModularKernel):

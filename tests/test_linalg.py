@@ -3,25 +3,21 @@ import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from smith_oracle import columns_fit, det, identity, matmul, minor_gcd_factors, smith_check
+from test_snf_differential import dense_smith_normal_form
 
 from foxcolor.coloring import coloring_matrix, link_determinant, profile
 from foxcolor.diagram import build_diagram, catalog, catalog_names, random_variants
-from foxcolor.linalg import (IntegerMatrix, minor_gcd_factors, smith_normal_form,
-                             solve_mod)
+from foxcolor.linalg import IntegerMatrix, smith_normal_form, solve_mod
 
 TREFOIL_MATRIX = IntegerMatrix.from_rows([[1, 1, -2], [-2, 1, 1], [1, -2, 1]])
 
 
 def assert_valid_decomposition(m, sd):
-    # the defining equation, exactly
-    assert sd.r @ m @ sd.c == sd.s
-    assert sd.r.det() in (1, -1)
-    assert sd.c.det() in (1, -1)
-    # diagonal, non-negative, divisibility chain, zeros trailing
-    for i in range(sd.s.rows):
-        for j in range(sd.s.cols):
-            if i != j:
-                assert sd.s[i, j] == 0
+    # c unimodular, m @ c column j divisible by d_j, and the factors
+    # confirmed by the minor oracle or, past it, by the dense reference
+    assert smith_check(m, sd.c, sd.invariant_factors, reference=dense_smith_normal_form)
+    # non-negative, divisibility chain, zeros trailing
     factors = sd.invariant_factors
     assert all(f >= 0 for f in factors)
     for a, b in zip(factors, factors[1:]):
@@ -42,11 +38,11 @@ class TestSmithNormalForm:
         assert minor_gcd_factors(TREFOIL_MATRIX) == (1, 3, 0)
 
     def test_identity(self):
-        m = IntegerMatrix.identity(2)
+        m = identity(2)
         sd = smith_normal_form(m)
         assert sd.invariant_factors == (1, 1)
-        assert sd.r == IntegerMatrix.identity(2)
-        assert sd.c == IntegerMatrix.identity(2)
+        assert sd.c == identity(2)
+        assert_valid_decomposition(m, sd)
 
     def test_already_diagonal(self):
         sd = smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 4]]))
@@ -67,7 +63,8 @@ class TestSmithNormalForm:
     def test_empty(self):
         sd = smith_normal_form(IntegerMatrix(0, 0, ()))
         assert sd.invariant_factors == ()
-        assert sd.s.rows == 0 and sd.s.cols == 0
+        assert sd.c == IntegerMatrix(0, 0, ())
+        assert_valid_decomposition(IntegerMatrix(0, 0, ()), sd)
 
     def test_non_square(self):
         m = IntegerMatrix.from_rows([[2, 4, 6]])
@@ -132,8 +129,8 @@ class TestMinorOracle:
 
 class TestLargerMatrices:
     def test_factor_product_matches_determinant(self):
-        # beyond the minor oracle's reach: d_1 * ... * d_n = |det| and the
-        # transforms still reproduce the input exactly
+        # beyond the minor oracle's reach: d_1 * ... * d_n = |det|, and c and
+        # the factors pass the check against the dense reference
         import random
         rng = random.Random(421)
         for _ in range(25):
@@ -141,11 +138,11 @@ class TestLargerMatrices:
             m = IntegerMatrix.from_rows(
                 [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)])
             sd = smith_normal_form(m)
-            assert sd.r @ m @ sd.c == sd.s
+            assert smith_check(m, sd.c, sd.invariant_factors, reference=dense_smith_normal_form)
             product = 1
             for f in sd.invariant_factors:
                 product *= f
-            assert product == abs(m.det())
+            assert product == abs(det(m))
 
 
 class TestTransformsOnDemand:
@@ -158,18 +155,17 @@ class TestTransformsOnDemand:
             for p in (3, 5, 7, 11, 13):
                 pr.nullity(p)
             assert link_determinant(pr.smith) == pr.determinant
-            assert not {"s", "r", "c"} & set(vars(pr.smith)), name
+            assert "c" not in vars(pr.smith), name
 
     def test_enumeration_builds_c_only(self):
         sd = profile(build_diagram(catalog("9_40"))).smith
         kernel = solve_mod(sd, 5)
         assert kernel.transform is sd.c
         assert "c" in vars(sd)
-        assert "r" not in vars(sd)
 
     def test_replayed_transforms_on_grown_variant(self):
-        # larger than the dense-reference cases; the replayed transforms
-        # still satisfy the defining equation exactly
+        # larger than the catalog diagrams; the replayed c passes the check
+        # and equals the dense reference's
         d = build_diagram(catalog("9_40"))
         (variant,) = random_variants(d, 1, 30, seed=5)
         m = coloring_matrix(variant)
@@ -181,7 +177,7 @@ class TestTransformsOnDemand:
     def test_equal_decompositions(self):
         m = IntegerMatrix.from_rows([[3, 1, 4], [1, 5, 9], [2, 6, 5]])
         a, b = smith_normal_form(m), smith_normal_form(m)
-        _ = a.r, a.c  # a cached transform takes no part in equality
+        _ = a.c  # a cached transform takes no part in equality
         assert a == b
         assert hash(a) == hash(b)
         assert a.shape == (3, 3) and a.nonzeros == m.nonzeros
@@ -199,11 +195,66 @@ class TestTransformsOnDemand:
         assert_valid_decomposition(coloring_matrix(build_diagram(catalog("9_40"))), sd)
 
 
+def with_columns(c, f):
+    """c with its columns given by f, a function of the list of columns."""
+    cols = f([list(col) for col in zip(*c.entries)])
+    return IntegerMatrix(c.rows, c.cols, tuple(zip(*cols)))
+
+
+class TestSmithCheck:
+    """smith_check, the check that holds c and the factors to a Smith
+    decomposition without a row transform, against broken ones."""
+
+    DIAG_2_6 = IntegerMatrix.from_rows([[2, 0], [0, 6]])
+
+    @pytest.mark.parametrize("m", [TREFOIL_MATRIX, DIAG_2_6, IntegerMatrix.from_rows([[2, 4, 6]]),
+                                   IntegerMatrix.from_rows([[6, 4], [2, 2]])],
+                             ids=lambda m: f"{m.rows}x{m.cols}")
+    def test_accepts_the_dense_reference(self, m):
+        want = dense_smith_normal_form(m)
+        assert smith_check(m, want.c, want.invariant_factors)
+
+    def test_broken_transforms_fail_the_columns(self):
+        trefoil = dense_smith_normal_form(TREFOIL_MATRIX)
+        diag = dense_smith_normal_form(self.DIAG_2_6)
+        assert diag.invariant_factors == (2, 6) and diag.c == identity(2)
+        mutants = {
+            # det(c) = +-2: the columns of m @ c stay divisible, only det catches it
+            "one column doubled": (TREFOIL_MATRIX, (1, 3, 0), with_columns(
+                trefoil.c, lambda cs: cs[:2] + [[2 * x for x in cs[2]]])),
+            # column 1 of m @ c is (2, 0), not divisible by 6
+            "columns of 2 and 6 swapped": (self.DIAG_2_6, (2, 6),
+                                           with_columns(diag.c, lambda cs: cs[::-1])),
+            # m @ c = m: column 2 is not zero, column 1 not divisible by 3
+            "identity for the trefoil": (TREFOIL_MATRIX, (1, 3, 0), identity(3)),
+        }
+        for name, (m, factors, c) in mutants.items():
+            assert not columns_fit(m, c, factors), name
+            assert not smith_check(m, c, factors), name
+
+    def test_wrong_factors_fail_only_the_factor_oracle(self):
+        c = dense_smith_normal_form(TREFOIL_MATRIX).c
+        assert columns_fit(TREFOIL_MATRIX, c, (1, 1, 0))  # every column divides by 1
+        assert not smith_check(TREFOIL_MATRIX, c, (1, 1, 0))  # the minors give (1, 3, 0)
+        assert smith_check(TREFOIL_MATRIX, c, (1, 3, 0))
+
+    def test_past_the_minor_oracle_the_reference_decides(self):
+        m = coloring_matrix(build_diagram(catalog("9_40")))
+        assert min(m.rows, m.cols) > 6
+        want = dense_smith_normal_form(m)
+        assert smith_check(m, want.c, want.invariant_factors, reference=dense_smith_normal_form)
+        ones = (1,) * 8 + (0,)
+        assert columns_fit(m, want.c, ones)
+        assert not smith_check(m, want.c, ones, reference=dense_smith_normal_form)
+        with pytest.raises(ValueError):
+            smith_check(m, want.c, want.invariant_factors)
+
+
 class TestSolveMod:
     def test_trefoil_mod3(self):
         kernel = solve_mod(smith_normal_form(TREFOIL_MATRIX), 3)
         # first coordinate forced to 0, the other two free
-        assert kernel.y_sets() == ((0,), (0, 1, 2), (0, 1, 2))
+        assert [tuple(range(0, 3, step)) for step in kernel.steps] == [(0,), (0, 1, 2), (0, 1, 2)]
         assert kernel.count() == 9
         vectors = list(kernel.vectors())
         assert len(vectors) == len(set(vectors)) == 9
@@ -231,20 +282,27 @@ class TestSolveMod:
 
 
 class TestIntegerMatrix:
+    # det, matmul and identity are the dense oracle helpers of smith_oracle
     def test_det_bareiss(self):
-        assert IntegerMatrix.from_rows([[1, 2], [3, 4]]).det() == -2
-        assert IntegerMatrix.from_rows([[2]]).det() == 2
-        assert IntegerMatrix.identity(4).det() == 1
-        assert IntegerMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
-        assert IntegerMatrix.from_rows([[1, 1], [1, 1]]).det() == 0
+        assert det(IntegerMatrix.from_rows([[1, 2], [3, 4]])) == -2
+        assert det(IntegerMatrix.from_rows([[2]])) == 2
+        assert det(identity(4)) == 1
+        assert det(IntegerMatrix.from_rows([[0, 1], [1, 0]])) == -1
+        assert det(IntegerMatrix.from_rows([[1, 1], [1, 1]])) == 0
 
     def test_det_non_square(self):
         with pytest.raises(ValueError):
-            IntegerMatrix.from_rows([[1, 2, 3]]).det()
+            det(IntegerMatrix.from_rows([[1, 2, 3]]))
+
+    def test_matmul(self):
+        a = IntegerMatrix.from_rows([[1, 2], [3, 4], [0, -1]])
+        assert matmul(a, IntegerMatrix.from_rows([[1, 0, 2], [-1, 1, 0]])) == \
+            IntegerMatrix.from_rows([[-1, 2, 2], [-1, 4, 6], [1, -1, 0]])
+        assert matmul(IntegerMatrix(0, 2, ()), identity(2)) == IntegerMatrix(0, 2, ())
 
     def test_matmul_shape_guard(self):
         with pytest.raises(ValueError):
-            IntegerMatrix.identity(2) @ IntegerMatrix.identity(3)
+            matmul(identity(2), identity(3))
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):

@@ -13,8 +13,9 @@ from dataclasses import replace
 from math import gcd
 
 import pytest
+from coloring_oracle import brute_force_colorings
 
-from foxcolor.coloring import Coloring, brute_force_colorings, enumerate_colorings, profile
+from foxcolor.coloring import Coloring, enumerate_colorings, profile
 from foxcolor.diagram import build_diagram, catalog, catalog_names, parse_pd
 
 LINKS = {

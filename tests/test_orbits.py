@@ -147,7 +147,7 @@ class TestAction:
     def test_affine_maps_preserve_color_count(self):
         for c in enumerate_colorings(KNOT940, 5, nontrivial_only=True)[:40]:
             for t in build_group(AUT, 5).tables:
-                assert Coloring(5, relabel(t, c.values)).n_colors() == c.n_colors()
+                assert len(set(relabel(t, c.values))) == len(set(c.values))
 
 
 class TestPermutationUnchecked:
@@ -242,9 +242,9 @@ class TestOrbitPartition:
         nontrivial = enumerate_colorings(KNOT940, 5, nontrivial_only=True)
         part = orbit_partition(nontrivial, build_group(AUT, 5))
         for o in part.orbits:
-            counts = {Coloring(5, relabel(t, o.representative.values)).n_colors()
+            counts = {len(set(relabel(t, o.representative.values)))
                       for t in build_group(AUT, 5).tables}
-            assert counts == {o.representative.n_colors()}
+            assert counts == {len(set(o.representative.values))}
 
     def test_empty_input(self):
         part = orbit_partition([], build_group(AUT, 5))
