@@ -14,7 +14,7 @@ import sys
 from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from . import diagram as dia
 from . import coloring as col
@@ -34,6 +34,48 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
+def _int_rows(rows, indent: str):
+    """The text between the brackets of each row of plain ints, at this indent:
+    one join per row, in C, of strings built once per distinct value."""
+    text = {v: int.__repr__(v) for v in set(chain.from_iterable(rows))}
+    return map((",\n" + indent).join, map(map, repeat(text.__getitem__), rows))
+
+
+def _are_int_rows(rows) -> bool:
+    """Whether every item is a non-empty list or tuple of plain ints."""
+    return (set(map(type, rows)) <= {list, tuple} and all(rows)
+            and set(map(type, chain.from_iterable(rows))) == {int})
+
+
+def _record_bodies(obj, indent: str):
+    """The text between the braces of each record of a list, at this indent, or None.
+
+    Records are non-empty dicts that share one key set, each value a
+    plain int or a non-empty list or tuple of plain ints (the orbits
+    classes lists).  Each body is one join of a column at a time: keys'
+    text, ints' strings built once per distinct value, or _int_rows.
+    """
+    keys = obj[0].keys()
+    if not keys or not all(map(keys.__eq__, map(dict.keys, obj))):
+        return None
+    deeper = indent + "  "
+    columns = []
+    sep = ""
+    for key in sorted(keys):
+        values = list(map(itemgetter(key), obj))
+        head = sep + encode_basestring_ascii(key) + ": "
+        sep = ",\n" + indent
+        if set(map(type, values)) == {int}:
+            text = {v: head + int.__repr__(v) for v in set(values)}
+            columns.append(map(text.__getitem__, values))
+        elif _are_int_rows(values):
+            columns += (repeat(head + "[\n" + deeper), _int_rows(values, deeper),
+                        repeat("\n" + indent + "]"))
+        else:
+            return None
+    return map("".join, zip(*columns))
+
+
 def _json_parts(obj, out: list, indent: str) -> None:
     """Append the text of json.dumps(obj, indent=2, sort_keys=True) to out.
 
@@ -42,10 +84,12 @@ def _json_parts(obj, out: list, indent: str) -> None:
     scalar is one C call: dict keys, which must be strings, through
     encode_basestring_ascii (what json.dumps does with a str), values of
     type exactly int (not bool) through int.__repr__, anything else
-    through json.dumps.  A list of plain ints is written by one join, and
-    a list of non-empty lists of plain ints (the colorings enumerate
-    lists) by one join per row of strings formatted once per distinct
-    value, all in C.
+    through json.dumps.  Three kinds of list are written in C, with no
+    call per item: a list of plain ints by one join; a list of non-empty
+    lists of plain ints (the colorings enumerate lists) as the rows of
+    _int_rows; and a list of records (the orbits classes lists) as the
+    bodies of _record_bodies.  Rows and bodies are joined by one string
+    that closes one item and opens the next.
     """
     if isinstance(obj, dict) and obj:
         inner = indent + "  "
@@ -57,24 +101,21 @@ def _json_parts(obj, out: list, indent: str) -> None:
         out.append("\n" + indent + "}")
     elif isinstance(obj, (list, tuple)) and obj:
         inner = indent + "  "
+        deeper = inner + "  "
         types = set(map(type, obj))
         if types == {int}:
-            out.append("[\n" + inner + (",\n" + inner).join(map(int.__repr__, obj))
-                       + "\n" + indent + "]")
+            out += ("[\n" + inner, (",\n" + inner).join(map(int.__repr__, obj)),
+                    "\n" + indent + "]")
             return
-        if types <= {list, tuple} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
-            # each row one join of its entries' strings, each string built
-            # once per distinct value and ending in the separator, which is
-            # cut from the row's end; one shared string between rows
-            deeper = inner + "  "
-            sep = ",\n" + deeper
-            text = {v: int.__repr__(v) + sep for v in set(chain.from_iterable(obj))}
-            rows = map(itemgetter(slice(-len(sep))),
-                       map("".join, map(map, repeat(text.__getitem__), obj)))
-            out.append("[\n" + inner + "[\n" + deeper)
-            out.extend(chain.from_iterable(zip(rows, repeat("\n" + inner + "],\n" + inner
-                                                            + "[\n" + deeper))))
-            out[-1] = "\n" + inner + "]\n" + indent + "]"  # in place of the last one
+        bodies = None
+        if _are_int_rows(obj):
+            start, end, bodies = "[", "]", _int_rows(obj, deeper)
+        elif types == {dict}:
+            start, end, bodies = "{", "}", _record_bodies(obj, deeper)
+        if bodies is not None:
+            out += ("[\n" + inner + start + "\n" + deeper,
+                    ("\n" + inner + end + ",\n" + inner + start + "\n" + deeper).join(bodies),
+                    "\n" + inner + end + "\n" + indent + "]")
             return
         sep = "[\n" + inner
         for item in obj:
@@ -189,7 +230,7 @@ def cmd_classes(args) -> int:
         "group": group.kind,
         "nontrivial": len(nontrivial),
         "class_count": part.class_count,
-        "orbits": [{"size": o.size, "representative": list(o.representative.values)}
+        "orbits": [{"size": o.size, "representative": o.representative.values}
                    for o in part.orbits],
     }
     if args.json:
@@ -218,7 +259,7 @@ def cmd_enumerate(args) -> int:
         "mod": args.mod,
         "nontrivial_only": not args.all,
         "count": len(colorings),
-        "colorings": [list(c.values) for c in colorings],
+        "colorings": list(map(attrgetter("values"), colorings)),
     }
     if args.json:
         _emit_json(payload)

@@ -13,9 +13,9 @@ tests/coloring_oracle.py.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from math import gcd
 from operator import mul
 
@@ -76,7 +76,8 @@ class ColoringProfile:
         otherwise the constants are dropped as the walk yields them, by
         lookup in the set of the m constant vectors.  The budget check
         comes first either way.  The reference elimination of the matrix
-        runs on the first call, as the walk reads the transform c.
+        runs on the first call, as the walk reads the transform c.  The
+        list is built by _colorings, with no interpreter step per coloring.
         """
         return self._walk(solve_mod, m, nontrivial_only, budget)
 
@@ -102,7 +103,17 @@ class ColoringProfile:
         if nontrivial_only:
             n = self.smith.shape[1]
             vectors = filterfalse({(v,) * n for v in range(m)}.__contains__, vectors)
-        return [Coloring(m, x) for x in vectors]
+        return _colorings(m, list(vectors))
+
+
+def _colorings(m: int, vectors: list[tuple[int, ...]]) -> list[Coloring]:
+    """[Coloring(m, x) for x in vectors], with no __init__ call per vector: as in
+    IntegerMatrix.from_nonzeros, object.__new__ and the slot descriptors,
+    which the frozen __setattr__ does not guard, are mapped in C."""
+    out = list(map(object.__new__, repeat(Coloring, len(vectors))))
+    deque(map(Coloring.modulus.__set__, out, repeat(m)), 0)
+    deque(map(Coloring.values.__set__, out, vectors), 0)
+    return out
 
 
 def coloring_matrix(d: PlanarDiagram) -> IntegerMatrix:
@@ -216,16 +227,17 @@ def enumerate_colorings(d: PlanarDiagram, m: int, nontrivial_only: bool = False,
     return profile(d).colorings(m, nontrivial_only, budget)
 
 
-def _generators(d: PlanarDiagram, p: int) -> dict[int, list[int]]:
+def _generators(d: PlanarDiagram | ColoringProfile, p: int) -> dict[int, list[int]]:
     """Each generating arc with its p-coloring row (see generating_arcs)."""
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    basis = zip(*prime_kernel(profile(d).smith, p).transform.entries)
+    sd = (d if isinstance(d, ColoringProfile) else profile(d)).smith
+    basis = zip(*prime_kernel(sd, p).transform.entries)
     lead, rows = _rref_mod_p([x[::-1] for x in basis], p)
-    return {d.n_arcs - 1 - j: row[::-1] for j, row in zip(lead, rows)}
+    return {sd.shape[1] - 1 - j: row[::-1] for j, row in zip(lead, rows)}
 
 
-def generating_arcs(d: PlanarDiagram, p: int) -> frozenset[int]:
+def generating_arcs(d: PlanarDiagram | ColoringProfile, p: int) -> frozenset[int]:
     """A set of arcs whose colors determine every p-coloring uniquely.
 
     They are the non-pivot columns of the coloring matrix reduced mod p,
@@ -233,13 +245,17 @@ def generating_arcs(d: PlanarDiagram, p: int) -> frozenset[int]:
     exactly when some p-coloring has its last nonzero value at arc j, so
     they are read off the F_p kernel basis of prime_kernel: each vector
     reversed, in reduced echelon form, has pivots n-1-j at just those j.
+    Given the diagram's profile in place of the diagram, no Smith form
+    is computed.
     """
     return frozenset(_generators(d, p))
 
 
-def extend_coloring(d: PlanarDiagram, p: int, assignment: dict[int, int]) -> Coloring:
+def extend_coloring(d: PlanarDiagram | ColoringProfile, p: int,
+                    assignment: dict[int, int]) -> Coloring:
     """The unique p-coloring taking the given values on the generating arcs.
 
+    `d` is a diagram or its profile, as for generating_arcs.
     `assignment` maps every generating arc (column index) to a residue.
     Each reduced row behind generating_arcs, reversed, is the coloring
     that is 1 at its arc and 0 at the other generating arcs; their sum

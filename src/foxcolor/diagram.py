@@ -621,9 +621,11 @@ def random_move_site_pd(pd: PdCode, rng: random.Random) -> MoveSite:
         return MoveSite(R1_INSERT, (1,), over=rng.random() < 0.5)
     if rng.random() < 0.5:
         return MoveSite(R1_INSERT, (rng.choice(edges),), over=rng.random() < 0.5)
+    # the filter is that of the faces' label sets: a label sits on a slot
+    # and its mate, and the slot after s in its face is neither s nor mate[s]
     quads = pd.crossings
-    faces = [sorted({quads[s // 4][s % 4] for s in f}) for f in pd.faces]
-    x, y = rng.sample(rng.choice([f for f in faces if len(f) > 1]), 2)
+    face = rng.choice([f for f in pd.faces if len(f) > 1])
+    x, y = rng.sample(sorted({quads[s // 4][s % 4] for s in face}), 2)
     return MoveSite(R2_INSERT, (x, y))
 
 

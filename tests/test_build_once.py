@@ -2,22 +2,25 @@
 
 Counters wrap the builders: groups and their permutation tables once per
 prime, and only for a prime with non-trivial colorings, faces once per
-PD code, one diagram per variant, and the reference Smith elimination
-only where a verb lists colorings in its order.  Cached fields leave
-equality and hashing alone.
+PD code, one diagram per variant, one Smith form per profile however
+often generating_arcs and extend_coloring read it, and the reference
+Smith elimination only where a verb lists colorings in its order.
+Cached fields leave equality and hashing alone.
 """
 
 from collections import Counter
 from functools import cached_property
+from itertools import product
 
 import pytest
 
+import foxcolor.coloring as col
 import foxcolor.diagram as dia
 import foxcolor.orbits as orbits
 from foxcolor.cli import main
-from foxcolor.coloring import profile
+from foxcolor.coloring import extend_coloring, generating_arcs, profile
 from foxcolor.diagram import PdCode, build_diagram, catalog, random_variants
-from foxcolor.linalg import SmithDecomposition
+from foxcolor.linalg import SmithDecomposition, smith_normal_form
 from foxcolor.orbits import AUT, INN, GroupSpec, build_group, prime_classes, verify_counts
 
 KNOT_9_40 = build_diagram(catalog("9_40"))
@@ -148,3 +151,20 @@ def test_prime_classes_run_no_reference_elimination(monkeypatch):
         for p in (3, 5, 7):
             prime_classes(pr, kind, p)
     assert transforms == []
+
+
+def test_extending_through_a_profile_runs_one_smith_form(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(col, "smith_normal_form", counted)
+    pr = profile(KNOT_9_40)
+    free = sorted(generating_arcs(pr, 3))
+    extended = {extend_coloring(pr, 3, dict(zip(free, values)))
+                for values in product(range(3), repeat=len(free))}
+    assert len(calls) == 1
+    assert len(extended) == 3 ** len(free) == pr.count(3)
+    assert all(c.satisfies(KNOT_9_40) for c in extended)

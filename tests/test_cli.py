@@ -465,6 +465,18 @@ class TestJsonWriter:
         # int rows whose entries are negative, above 2^64, alone, or one repeated value
         [[-1, -2, 0], [-(2 ** 70), 5]], [[2 ** 64 + 1, 2 ** 65], [2 ** 64 + 1]], [[7]],
         [[0], [1], [0]], [[3, 3, 3], [3, 3]], {"colorings": [[4, 4], [4, 4]]},
+        # lists of records, written a record at a time, and the lists that must not be
+        [{"size": 1, "representative": [0, 1, 2]}], [{"a": 1}, {"b": 1}],
+        [{"a": 1, "b": 2}, {"a": 1}], [{"a": True}], [{"a": 1}, {"a": False}],
+        [{"a": [1, True]}], [{"a": 0.5}], [{"a": None}], [{"a": []}],
+        [{"a": 1, "b": [2]}, {"a": 3, "b": []}], [{"a": (1, 2)}, {"a": [3]}],
+        [{"z": -1, "a": [-(2 ** 70), 2 ** 64 + 1]}, {"z": 2 ** 65, "a": (0, -3)},
+         {"z": -1, "a": [7]}],
+        [{"a": {"b": 1}}], [{"a": 1, "b": {}}], [{}], [{}, {}], [{"a": 1}, {}], [{"a": [[1]]}],
+        [{"a": 1}, [1]], [{"a": "x"}], ({"size": 3, "representative": (0, 2, 1)},),
+        {"orbits": [{"size": 6, "representative": (0, 0, 1)},
+                    {"size": 6, "representative": (0, 1, 1)}], "class_count": 2},
+        [[{"a": 1}, {"a": 2}]], [{"a": 1, "b": [2, 2], "c": 1}, {"a": 1, "b": [2, 2], "c": 1}],
     ])
     def test_edge_cases(self, capsys, obj):
         cli._emit_json(obj)

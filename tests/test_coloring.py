@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from math import gcd, isqrt
 
 import pytest
@@ -5,13 +6,13 @@ from coloring_oracle import brute_force_colorings
 from smith_oracle import det, identity, submatrix
 
 from foxcolor.coloring import (MILLER_RABIN_BOUND, Coloring, EnumerationBudgetError,
-                               coloring_matrix, count_colorings,
+                               _colorings, coloring_matrix, count_colorings,
                                enumerate_colorings, extend_coloring,
                                generating_arcs, is_odd_prime, link_determinant,
                                p_nullity, profile)
 from foxcolor.diagram import (MoveError, MoveSite, apply_move, build_diagram, catalog,
                               catalog_names, parse_pd)
-from foxcolor.linalg import IntegerMatrix, smith_normal_form
+from foxcolor.linalg import IntegerMatrix, smith_normal_form, solve_mod
 from foxcolor.orbits import prime_classes
 
 TREFOIL = build_diagram(catalog("3_1"))
@@ -179,6 +180,18 @@ class TestGeneratingArcs:
         with pytest.raises(ValueError):
             extend_coloring(TREFOIL, 3, {0: 1})
 
+    @pytest.mark.parametrize("name,p", [("3_1", 3), ("4_1", 5), ("9_40", 5), ("unknot", 3)])
+    def test_profile_in_place_of_diagram(self, name, p):
+        d = build_diagram(catalog(name))
+        pr = profile(d)
+        free = sorted(generating_arcs(d, p))
+        assert generating_arcs(pr, p) == frozenset(free)
+        for c in enumerate_colorings(d, p):
+            assignment = {a: c.values[a] for a in free}
+            assert extend_coloring(pr, p, assignment) == extend_coloring(d, p, assignment) == c
+        with pytest.raises(ValueError):
+            extend_coloring(pr, p, {})
+
 
 class TestCounting:
     def test_trefoil(self):
@@ -241,6 +254,30 @@ class TestEnumerate:
     def test_budget(self):
         with pytest.raises(EnumerationBudgetError):
             enumerate_colorings(KNOT940, 5, budget=100)
+
+    @pytest.mark.parametrize("d, m", [(KNOT940, 15), (TREFOIL, 9), (FIGURE8, 10), (UNKNOT, 7),
+                                      (KNOT940, 5)])
+    def test_list_equals_dataclass_init(self, d, m):
+        # _colorings fills the slots without __init__; it must build what __init__ builds
+        pr = profile(d)
+        vectors = list(solve_mod(pr.smith, m).vectors())
+        got, want = _colorings(m, vectors), [Coloring(m, x) for x in vectors]
+        assert len(got) == len(want) == pr.count(m)
+        for g, w in zip(got, want):
+            assert type(g) is Coloring and g == w and hash(g) == hash(w)
+            with pytest.raises(FrozenInstanceError):
+                g.values = w.values
+            with pytest.raises(FrozenInstanceError):
+                g.modulus = m
+        assert pr.colorings(m) == want
+        assert all(type(c) is Coloring for c in pr.colorings(m, nontrivial_only=True))
+        if is_odd_prime(m):
+            assert sorted(pr.prime_colorings(m)) == sorted(want)
+            assert all(type(c) is Coloring for c in pr.prime_colorings(m))
+
+    def test_empty_list(self):
+        assert _colorings(5, []) == []
+        assert profile(TREFOIL).colorings(5, nontrivial_only=True) == []
 
 
 class TestBruteForceOracle:
