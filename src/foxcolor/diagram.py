@@ -4,7 +4,10 @@ A diagram is given by its PD code: one quadruple of edge labels per
 crossing, read counterclockwise starting at the incoming under-edge, so
 the over-strand occupies positions 2 and 4.  parse_pd renumbers the
 labels to 1..E in their order, unless they are 1..E already, and every
-PdCode checks its labels and its planarity.  Edges merge into arcs
+PdCode checks its labels and its planarity.  parse_pd counts the labels
+once, by one stable sort of the slots by label (_sorted_slots), which
+also pairs each label's two slots; the code's planarity check reads
+that pairing instead of pairing the slots again.  Edges merge into arcs
 along the over-strand (build_diagram, by a union-find read off in one
 ascending pass), and each crossing contributes the relation
 (under-arc, next under-arc, over-arc) that drives the coloring system.
@@ -13,7 +16,10 @@ The crossing-free unknot cannot be written as a PD code; it is admitted
 through the special token "unknot" and carries a single arc.
 
 Reidemeister moves rewrite PD codes (apply_move_pd): each move
-renumbers and validates its result.  A PdCode keeps the faces its
+renumbers and validates its result.  The renumbering (_renumber) walks
+label ranks taken from the same slot sort, and hands the slot pairing
+to the new code's check, which still checks the labels, traces the
+faces and checks the genus.  A PdCode keeps the faces its
 planarity check traced, so choosing a move site and applying the move
 read them without tracing again.  A PlanarDiagram (arcs and relations)
 is built only where it is read: apply_move builds one per move,
@@ -27,7 +33,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 
 UNKNOT_TOKEN = "unknot"
 
@@ -80,6 +86,9 @@ class PdCode:
         counts = _label_counts(chain.from_iterable(quads))
         if counts and max(counts) != len(counts):  # E distinct labels >= 1 are 1..E iff max is E
             raise PdError("edge labels must form 1..E with no gaps")
+        self._check_planar()
+
+    def _check_planar(self):
         genus = _genus(self.mates, self.faces)
         if genus:
             raise PdError(f"no planar diagram has this PD code: it needs a surface "
@@ -87,7 +96,8 @@ class PdCode:
 
     @cached_property
     def mates(self) -> tuple[int, ...]:
-        """Slot permutation of the edges, as built by _mates."""
+        """Slot permutation of the edges, as built by _mates; parse_pd and
+        the moves hand it over from their own slot sort."""
         return _mates(self.crossings)
 
     @cached_property
@@ -115,6 +125,23 @@ class PdCode:
         return "[" + ",".join("[" + ",".join(map(str, q)) + "]" for q in self.crossings) + "]"
 
 
+def _code(crossings, mates, labels_checked=False) -> PdCode:
+    """PdCode(crossings) from a caller that has paired its slots already.
+
+    mates, that pairing, seeds the cached property, so the face trace and
+    the genus check read it without a _mates pass; labels_checked skips
+    only the label checks, which the caller made on these labels.
+    """
+    pd = object.__new__(PdCode)
+    object.__setattr__(pd, "crossings", crossings)
+    vars(pd)["mates"] = mates
+    if labels_checked:
+        pd._check_planar()
+    else:
+        pd.__post_init__()
+    return pd
+
+
 def _label_counts(labels) -> Counter:
     """Occurrences of each edge label; raises unless every label occurs twice."""
     counts = Counter(labels)
@@ -122,6 +149,25 @@ def _label_counts(labels) -> Counter:
     if bad:
         raise PdError(f"edge labels must occur exactly twice, offending labels: {bad}")
     return counts
+
+
+def _sorted_slots(flat):
+    """Slots sorted by label, the labels in ascending order, and the mates.
+
+    Slot s holds flat[s].  The sort is stable, so each label's two slots
+    sit side by side, the lower first: pair k holds the k-th smallest
+    label, and mates (as built by _mates) swaps the slots of each pair.
+    Raises PdError, as _label_counts, unless every label occurs exactly
+    twice.
+    """
+    slots = sorted(range(len(flat)), key=flat.__getitem__)
+    paired = list(map(flat.__getitem__, slots))
+    if paired[0::2] != paired[1::2] or len(set(paired)) * 2 != len(paired):
+        _label_counts(flat)  # raises, naming the labels that do not pair
+    mates = [0] * len(flat)
+    for s, t in zip(slots[0::2], slots[1::2]):
+        mates[s], mates[t] = t, s
+    return slots, paired[0::2], tuple(mates)
 
 
 def _mates(crossings) -> tuple[int, ...]:
@@ -214,13 +260,13 @@ def parse_pd(text: str) -> PdCode:
             if not isinstance(item, list) or len(item) != 4 or not all(map(_is_label, item)):
                 raise PdError(f"crossing {item!r} is not a quadruple of integers")
             quads.append(tuple(item))
-    # counted before relabeling, so errors name the input's labels
-    labels = sorted(_label_counts(chain.from_iterable(quads)))
+    flat = list(chain.from_iterable(quads))
+    _, labels, mates = _sorted_slots(flat)  # before relabeling, so errors name the input's labels
     if labels[0] != 1 or labels[-1] != len(labels):  # not already 1..E
-        relabel = {old: new for new, old in enumerate(labels, start=1)}
-        flat = map(relabel.__getitem__, chain.from_iterable(quads))
+        relabel = dict(zip(labels, count(1)))
+        flat = map(relabel.__getitem__, flat)
         quads = zip(flat, flat, flat, flat)
-    return PdCode(tuple(quads))
+    return _code(tuple(quads), mates, labels_checked=True)
 
 
 @dataclass(frozen=True)
@@ -319,7 +365,7 @@ def apply_move(d: PlanarDiagram, site: MoveSite) -> PlanarDiagram:
 def apply_move_pd(pd: PdCode, site: MoveSite) -> PdCode:
     """apply_move on the code alone: the move, renumbering and validation,
     without building the diagram."""
-    return PdCode(_renumber(_MOVE_HANDLERS[site.kind](pd, site)))
+    return _code(*_renumber(_MOVE_HANDLERS[site.kind](pd, site)))
 
 
 def _occurrences(quads, edge):
@@ -392,8 +438,9 @@ def _r2_insert(pd: PdCode, site: MoveSite):
     _require_edge(pd, y)
     quads = [list(q) for q in pd.crossings]
     mate = pd.mates
+    flat = tuple(chain.from_iterable(pd.crossings))  # the label in each slot
     for face in pd.faces:
-        labels = [quads[s // 4][s % 4] for s in face]
+        labels = list(map(flat.__getitem__, face))
         if x in labels and y in labels:
             x_west_end = divmod(mate[face[labels.index(x)]], 4)
             y_west_end = divmod(face[labels.index(y)], 4)
@@ -571,35 +618,56 @@ def _r3_rewrite(quads, xi, yi, zi, t, t_side, a_near, b_near):
 
 
 def _renumber(quads):
-    """Canonical relabeling 1..E: breadth-first from the lowest surviving label.
+    """Canonical relabeling 1..E, and the slot pairing of the result.
 
-    A label's neighbors, the labels of its crossings, are numbered in
-    ascending order; each crossing adds them once, when first visited.
+    Breadth-first from the lowest label: a label's neighbors, the labels
+    of its crossings, are numbered in ascending order; each crossing adds
+    them once, when first visited.  One stable sort of the slots by label
+    puts each label's two slots side by side, so pair k holds the slots
+    of the k-th smallest label, the crossings of that label are
+    slot >> 2 of its two slots, and the walk runs on ranks through lists.
+    Relabeling moves no slot, so the pairing is _mates of the result.
+    Raises PdError unless every label occurs exactly twice.
     """
     if not quads:
-        return ()
-    incident: dict[int, list[int]] = {}
-    for ci, q in enumerate(quads):
-        for e in q:
-            incident.setdefault(e, []).append(ci)
+        return (), ()
+    flat = list(chain.from_iterable(quads))
+    slots, labels, mates = _sorted_slots(flat)
+    firsts, seconds = slots[0::2], slots[1::2]
+    rank = [0] * len(flat)
+    for k, s, t in zip(count(), firsts, seconds):
+        rank[s] = rank[t] = k
+    ends = iter(rank)
+    near = list(map(sorted, zip(ends, ends, ends, ends)))  # each crossing's ranks, sorted once
     open_crossings = [True] * len(quads)
-    mapping: dict[int, int] = {}
-    for start in sorted(incident):
-        if start in mapping:
-            continue
-        mapping[start] = len(mapping) + 1
+    new = [0] * len(labels)  # new label by rank, 0 while unnumbered
+    numbered = start = 0
+    while numbered < len(new):
+        start = new.index(0, start)
+        numbered += 1
+        new[start] = numbered
         queue = [start]
-        for cur in queue:  # the queue grows as it is read: breadth-first
-            crossings = [ci for ci in incident[cur] if open_crossings[ci]]
-            if not crossings:
+        for k in queue:  # the queue grows as it is read: breadth-first
+            a, b = firsts[k] >> 2, seconds[k] >> 2
+            if open_crossings[a]:
+                open_crossings[a] = False
+                if open_crossings[b]:  # a != b: a kink edge's crossing is closed now
+                    open_crossings[b] = False
+                    ranks = sorted(near[a] + near[b])
+                else:
+                    ranks = near[a]
+            elif open_crossings[b]:
+                open_crossings[b] = False
+                ranks = near[b]
+            else:
                 continue
-            for ci in crossings:
-                open_crossings[ci] = False
-            for e in sorted(set(chain.from_iterable(map(quads.__getitem__, crossings)))):
-                if e not in mapping:
-                    mapping[e] = len(mapping) + 1
-                    queue.append(e)
-    return tuple(tuple(map(mapping.__getitem__, q)) for q in quads)
+            for j in ranks:
+                if not new[j]:
+                    numbered += 1
+                    new[j] = numbered
+                    queue.append(j)
+    relabeled = map(new.__getitem__, rank)
+    return tuple(zip(relabeled, relabeled, relabeled, relabeled)), mates
 
 
 _MOVE_HANDLERS = {

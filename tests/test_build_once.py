@@ -1,10 +1,11 @@
 """verify's structures are built once per thing they depend on.
 
 Counters wrap the builders: groups and their permutation tables once per
-prime, and only for a prime with non-trivial colorings, faces once per
-PD code, one diagram per variant, one Smith form per profile however
-often generating_arcs and extend_coloring read it, and the reference
-Smith elimination only where a verb lists colorings in its order.
+prime, and only for a prime with non-trivial colorings, faces and the
+slot pairing once per PD code, one diagram per variant, one Smith form
+per profile however often generating_arcs and extend_coloring read it,
+and the reference Smith elimination only where a verb lists colorings
+in its order.
 Cached fields leave equality and hashing alone.
 """
 
@@ -19,7 +20,7 @@ import foxcolor.diagram as dia
 import foxcolor.orbits as orbits
 from foxcolor.cli import main
 from foxcolor.coloring import extend_coloring, generating_arcs, profile
-from foxcolor.diagram import PdCode, build_diagram, catalog, random_variants
+from foxcolor.diagram import PdCode, build_diagram, catalog, parse_pd, random_variants
 from foxcolor.linalg import SmithDecomposition, smith_normal_form
 from foxcolor.orbits import AUT, INN, GroupSpec, build_group, prime_classes, verify_counts
 
@@ -91,6 +92,25 @@ def test_faces_once_per_code(monkeypatch):
     random_variants(KNOT_9_40, 3, 7, seed=11)
     assert len(codes) == 3 * 7
     assert len(faces_calls) == len(codes)
+
+
+def test_slots_paired_once_per_code(monkeypatch):
+    # a move hands its renumbering's slot pairing to the new code, and
+    # parse_pd pairs the slots as it counts the labels: no _mates pass
+    calls = Counter()
+    for name in ("_sorted_slots", "_mates", "_label_counts"):
+        def counted(*args, _name=name, _real=getattr(dia, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(dia, name, counted)
+    variants = random_variants(KNOT_9_40, 3, 7, seed=11)
+    # each move result's labels are still counted by its PdCode check
+    assert calls == {"_sorted_slots": 3 * 7, "_label_counts": 3 * 7}
+    codes = [v.pd for v in variants] + [catalog("3_1")]
+    texts = [str(v.pd) for v in variants] + ["[[2,8,4,10],[6,12,8,2],[10,4,12,6]]"]
+    calls.clear()
+    assert [parse_pd(t) for t in texts] == codes
+    assert calls == {"_sorted_slots": len(texts)}
 
 
 def test_one_diagram_per_variant(monkeypatch):

@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foxcolor.diagram import (MOVE_KINDS, MoveError, MoveSite, PdCode, PdError,
-                              R2_INSERT, R3, apply_move, build_diagram, catalog,
-                              catalog_names, parse_pd, random_move_site_pd, random_variants)
+from foxcolor.diagram import (MOVE_KINDS, MoveError, MoveSite, PdCode, PdError, R1_INSERT,
+                              R2_INSERT, R3, _faces, _genus, _mates, apply_move, apply_move_pd,
+                              build_diagram, catalog, catalog_names, parse_pd,
+                              random_move_site_pd, random_variants)
 from foxcolor.coloring import profile
 
 TREFOIL = "[[1,4,2,5],[3,6,4,1],[5,2,6,3]]"
@@ -22,6 +23,32 @@ R3_DEGENERATE = [
     "[[2,4,5,1],[3,6,7,4],[7,8,1,5],[6,3,2,8]]",
     "[[2,4,5,1],[3,3,6,4],[6,2,1,5]]",
 ]
+# catalog knots with a triangular face, where an R3 site can be constructed
+TRIANGLED = [name for name in catalog_names() if any(len(f) == 3 for f in catalog(name).faces)]
+
+
+def constructed_r3_sites(pd):
+    """R3 slides made possible at the triangular faces of pd.
+
+    In an alternating triangle no strand passes over (or under) both
+    others.  A finger of one side pushed over another inside the face
+    (R2_insert) cuts off a triangle whose third strand runs under (or
+    over) both.  Returns (pushed code, middle edge, slid code) for every
+    slide that applies.
+    """
+    sites = []
+    for face in pd.faces:
+        if len(face) != 3:
+            continue
+        labels = [pd.crossings[s // 4][s % 4] for s in face]
+        for pair in itertools.permutations(labels, 2):
+            pushed = apply_move_pd(pd, MoveSite(R2_INSERT, pair))
+            for t in pushed.edges():
+                try:
+                    sites.append((pushed, t, apply_move_pd(pushed, MoveSite(R3, (t,)))))
+                except MoveError:
+                    continue
+    return sites
 
 
 def nonzero_factors_without_ones(d):
@@ -292,6 +319,24 @@ class TestR3:
         for t in d.pd.edges():
             with pytest.raises(MoveError):
                 apply_move(d, MoveSite("R3", (t,)))
+
+    @pytest.mark.parametrize("name", TRIANGLED)
+    def test_constructed_site_on_every_catalog_knot_with_a_triangle(self, name):
+        pd = catalog(name)
+        sites = constructed_r3_sites(pd)
+        if not sites:
+            # on the trefoil every slide a pushed triangle offers has two of
+            # its nine local edges equal, which _r3_rewrite rejects; a kink
+            # makes room
+            pd = apply_move_pd(pd, MoveSite(R1_INSERT, (1,)))
+            sites = constructed_r3_sites(pd)
+        assert sites
+        counts = [profile(build_diagram(pd)).count(m) for m in range(2, 12)]
+        for pushed, t, slid in sites:
+            assert slid.n_crossings == pushed.n_crossings and slid != pushed, t
+            mate = _mates(slid.crossings)  # planarity traced afresh, not read off the code
+            assert _genus(mate, _faces(mate)) == 0
+            assert [profile(build_diagram(slid)).count(m) for m in range(2, 12)] == counts, t
 
     def test_no_pattern_on_alternating_catalog(self):
         for name in ("3_1", "4_1", "7_1"):

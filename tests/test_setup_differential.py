@@ -2,29 +2,34 @@
 
 The references below are the earlier code of parse_pd (relabel by a
 generator expression over every quadruple), build_diagram (a union-find
-with a nested find), _renumber (a set and a sort per label) and
-coloring_matrix (a dense row per crossing).  On the catalog, seeded
+with a nested find), _renumber (dicts, and a set and a sort per label)
+and coloring_matrix (a dense row per crossing).  On the catalog, seeded
 variants, braid closures of up to 2 000 crossings from the benchmark's
 generator, and codes labelled from 0 or from negative numbers, the new
 code must give the same codes, arcs, relations, canonical labels and
-matrices, and parse_pd the same error messages.
+matrices, and parse_pd the same error messages.  The slot pairing that
+_renumber hands to the moved code's check must be _mates of the result,
+on every move kind.
 """
 
 import json
 import random
 import sys
 from collections import deque
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 from foxcolor.coloring import coloring_matrix
-from foxcolor.diagram import (_MOVE_HANDLERS, R1_INSERT, MoveSite, PdCode, PdError,
-                              PlanarDiagram, _is_label, _label_counts, _renumber, apply_move_pd,
+from foxcolor.diagram import (_MOVE_HANDLERS, MOVE_KINDS, R1_DELETE, R1_INSERT, R2_DELETE,
+                              R2_INSERT, R3, MoveError, MoveSite, PdCode, PdError, PlanarDiagram,
+                              _faces, _is_label, _label_counts, _mates, _renumber, apply_move_pd,
                               build_diagram, catalog, catalog_names, parse_pd,
                               random_move_site_pd, random_variants)
 from foxcolor.linalg import IntegerMatrix
 
+from test_diagram import constructed_r3_sites
 from test_parse_fuzz import fuzz_inputs
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -207,20 +212,80 @@ def test_kink_rows():
     assert coincident == {1, 2, 3}
 
 
+def checked_move(pd: PdCode, site: MoveSite) -> PdCode:
+    """apply_move_pd, its renumbering against the reference and the slot
+    pairing it carried against _mates and _faces of the result."""
+    raw = _MOVE_HANDLERS[site.kind](pd, site)
+    crossings, mates = _renumber(raw)
+    assert crossings == reference_renumber(raw)
+    moved = apply_move_pd(pd, site)
+    assert moved.crossings == crossings and moved.mates == mates
+    assert mates == _mates(crossings) and moved.faces == _faces(_mates(crossings))
+    return moved
+
+
 @pytest.mark.parametrize("name", CODES)
 def test_renumber(name):
     quads = parse_pd(CODES[name]).crossings
     rng = random.Random(1304)
     labels = sorted({e for q in quads for e in q})
     image = rng.sample(range(-3 * len(labels), 3 * len(labels)), len(labels))
-    scattered = dict(zip(labels, image))
-    assert _renumber([tuple(map(scattered.get, q)) for q in quads]) == \
-        reference_renumber([tuple(map(scattered.get, q)) for q in quads])
+    scatter = dict(zip(labels, image))
+    scattered = [tuple(map(scatter.get, q)) for q in quads]
+    crossings, mates = _renumber(scattered)
+    assert crossings == reference_renumber(scattered)
+    assert mates == _mates(crossings) == _mates(scattered)
     # the codes the move handlers hand over, before renumbering
     if len(quads) <= 400:
         pd = PdCode(quads)
         for _ in range(6):
-            site = random_move_site_pd(pd, rng)
-            raw = _MOVE_HANDLERS[site.kind](pd, site)
-            assert _renumber(raw) == reference_renumber(raw)
-            pd = PdCode(_renumber(raw))
+            pd = checked_move(pd, random_move_site_pd(pd, rng))
+
+
+def every_site(pd: PdCode):
+    """Sites of every kind: kinks of both chiralities on every edge (the
+    unknot's too), R2 insertions on every ordered pair of a face's edges,
+    and deletions and slides anchored at every edge."""
+    edges = list(pd.edges()) or [1]
+    yield from (MoveSite(R1_INSERT, (e,), over) for e in edges for over in (False, True))
+    yield from (MoveSite(kind, (e,)) for kind in (R1_DELETE, R2_DELETE, R3) for e in edges)
+    for face in pd.faces:
+        labels = sorted({pd.crossings[s // 4][s % 4] for s in face})
+        yield from (MoveSite(R2_INSERT, pair) for pair in permutations(labels, 2))
+
+
+def test_every_move_kind_carries_its_mates():
+    codes = [PdCode(()), *(catalog(name) for name in ("3_1", "4_1", "6_2"))]
+    kinked = apply_move_pd(PdCode(()), MoveSite(R1_INSERT, (1,)))
+    codes += [kinked, apply_move_pd(kinked, MoveSite(R1_INSERT, (2,), over=True))]
+    codes += [v.pd for v in random_variants(build_diagram(catalog("5_2")), 2, 3, seed=1306)]
+    codes += [pushed for pushed, _, _ in constructed_r3_sites(catalog("4_1"))[:2]]
+    applied = dict.fromkeys(MOVE_KINDS, 0)
+    for pd in codes:
+        for site in every_site(pd):
+            try:
+                moved = checked_move(pd, site)
+            except MoveError:
+                continue
+            applied[site.kind] += 1
+            if not moved.crossings:
+                applied["to the unknot"] = applied.get("to the unknot", 0) + 1
+    assert all(applied.values()) and len(applied) == len(MOVE_KINDS) + 1, applied
+
+
+def test_a_200_move_chain_of_9_40_carries_its_mates():
+    pd, rng = catalog("9_40"), random.Random(1307)
+    for _ in range(200):
+        pd = checked_move(pd, random_move_site_pd(pd, rng))
+    assert pd.n_crossings > 200
+
+
+@pytest.mark.parametrize("raw", [
+    [(1, 2, 3, 4), (1, 2, 3, 5)],  # 4 and 5 once
+    [(1, 2, 3, 4), (1, 2, 3, 3)],  # 3 three times, 4 once
+    [(1, 1, 1, 1)],  # twice two ends of label 1
+])
+def test_labels_that_do_not_pair_raise(monkeypatch, raw):
+    monkeypatch.setitem(_MOVE_HANDLERS, R1_INSERT, lambda pd, site: list(raw))
+    with pytest.raises(PdError, match="must occur exactly twice"):
+        apply_move_pd(catalog("3_1"), MoveSite(R1_INSERT, (1,)))
