@@ -41,6 +41,11 @@ def _int_rows(rows, indent: str):
     return map((",\n" + indent).join, map(map, repeat(text.__getitem__), rows))
 
 
+class _IntRows(list):
+    """Rows the kernel walk built: non-empty tuples of plain ints, which the
+    writer takes as such without scanning the type of every entry."""
+
+
 def _are_int_rows(rows) -> bool:
     """Whether every item is a non-empty list or tuple of plain ints."""
     return (set(map(type, rows)) <= {list, tuple} and all(rows)
@@ -86,10 +91,11 @@ def _json_parts(obj, out: list, indent: str) -> None:
     type exactly int (not bool) through int.__repr__, anything else
     through json.dumps.  Three kinds of list are written in C, with no
     call per item: a list of plain ints by one join; a list of non-empty
-    lists of plain ints (the colorings enumerate lists) as the rows of
-    _int_rows; and a list of records (the orbits classes lists) as the
-    bodies of _record_bodies.  Rows and bodies are joined by one string
-    that closes one item and opens the next.
+    lists of plain ints (the colorings enumerate lists, an _IntRows whose
+    entries are not scanned) as the rows of _int_rows; and a list of
+    records (the orbits classes lists) as the bodies of _record_bodies.
+    Rows and bodies are joined by one string that closes one item and
+    opens the next.
     """
     if isinstance(obj, dict) and obj:
         inner = indent + "  "
@@ -102,13 +108,14 @@ def _json_parts(obj, out: list, indent: str) -> None:
     elif isinstance(obj, (list, tuple)) and obj:
         inner = indent + "  "
         deeper = inner + "  "
-        types = set(map(type, obj))
+        trusted = type(obj) is _IntRows
+        types = None if trusted else set(map(type, obj))
         if types == {int}:
             out += ("[\n" + inner, (",\n" + inner).join(map(int.__repr__, obj)),
                     "\n" + indent + "]")
             return
         bodies = None
-        if _are_int_rows(obj):
+        if trusted or _are_int_rows(obj):
             start, end, bodies = "[", "]", _int_rows(obj, deeper)
         elif types == {dict}:
             start, end, bodies = "{", "}", _record_bodies(obj, deeper)
@@ -259,7 +266,7 @@ def cmd_enumerate(args) -> int:
         "mod": args.mod,
         "nontrivial_only": not args.all,
         "count": len(colorings),
-        "colorings": list(map(attrgetter("values"), colorings)),
+        "colorings": _IntRows(map(attrgetter("values"), colorings)),
     }
     if args.json:
         _emit_json(payload)

@@ -7,18 +7,19 @@ affine maps x -> lam*x + mu with lam a unit; the inner subgroup is
 lam = +-1 (mu even when m is even).  A permutation that merely keeps the
 crossings of one coloring would make the classes its arc partitions by
 color, which Reidemeister moves do not preserve.  A GroupSpec holds the
-group as its lam and mu lists, and its permutation tables once read.
-Acting arcwise on the non-trivial m-colorings of a diagram, the orbits
-are the equivalence classes; for an odd prime p and nullity n the class
-counts have closed forms, verified here against brute-force orbit
-partitions.
+group as its lam and mu lists, and its permutation tables once read:
+bytes.translate tables up to m = 256, tuples above.  Acting arcwise on
+the non-trivial m-colorings of a diagram, the orbits are the equivalence
+classes; for an odd prime p and nullity n the class counts have closed
+forms, verified here against brute-force orbit partitions.
 
 For an odd prime the action is free, and prime_classes lists the sorted
 orbit representatives straight from the reduced echelon basis of the
 kernel over F_p, without listing the colorings or building the group.
-orbit_partition partitions enumerated colorings under the whole group;
-the classes command runs it at every modulus, and verify_counts keeps it
-as the independent brute-force check for primes.
+orbit_partition partitions enumerated colorings under the whole group,
+one interpreter step per orbit; the classes command runs it at every
+modulus, and verify_counts keeps it as the independent brute-force check
+for primes.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice, repeat
 from math import gcd
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, mod
 
 from .coloring import Coloring, ColoringProfile, ENUMERATION_BUDGET, is_odd_prime, profile
 from .diagram import PlanarDiagram, random_variants
@@ -43,7 +44,9 @@ VARIANT_MOVES = 3
 @dataclass(frozen=True)
 class GroupSpec:
     """The affine group x -> lam*x + mu of Z_m, or its inner subgroup, as
-    the lists of its lam and of its mu; every pair is one element."""
+    the lists of its lam and of its mu; every pair is one element.  Its
+    permutation tables are built on first read and cached: byte_tables,
+    which orbit_partition reads up to m = 256, and tables above."""
 
     kind: str
     modulus: int
@@ -61,6 +64,19 @@ class GroupSpec:
         m = self.modulus
         return tuple(tuple((l * x + u) % m for x in range(m))
                      for l in self.lams for u in self.mus)
+
+    @cached_property
+    def byte_tables(self) -> tuple[bytes, ...]:
+        """For m <= 256, each element as a bytes.translate table, in the order
+        of tables: entry x is (lam*x + mu) % m for every byte x, so the first
+        m entries are the permutation.  Built in C, one multiplication
+        table per lam, then one translate of it per mu; like tables, on
+        first use and outside equality and hashing."""
+        m = self.modulus
+        adds = [bytes(map(mod, range(u, u + 256), repeat(m))) for u in self.mus]
+        return tuple(chain.from_iterable(
+            map(bytes(map(mod, range(0, 256 * l, l), repeat(m))).translate, adds)
+            for l in self.lams))
 
 
 def check_group(kind: str, m: int) -> str:
@@ -113,45 +129,60 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
     """Partition colorings into orbits under the group action.
 
     Expects the full set of non-trivial colorings for one diagram and
-    modulus; duplicates, or a set not closed under the action, mean an
-    upstream bug and raise.  Representatives are the lexicographically
+    modulus; duplicates, a set not closed under the action, or a value
+    outside range(m) mean an upstream bug and raise ValueError, the last
+    before any table is read.  Representatives are the lexicographically
     least members and orbits are listed in representative order.
 
-    The group's permutation tables (GroupSpec.tables) are built once per
-    group, on the first call that gets a coloring, and shared by every
-    later partition under it; an empty input never builds them.  The
-    colorings are scanned in sorted order, and the first one not yet
-    seen is the least of its orbit, since a smaller member would have
-    been reached first and marked its whole orbit seen.  Only that
-    representative is mapped: one itemgetter over its values, mapped over
-    the tables in C, gives every image as a tuple.  itemgetter with one
-    index returns a scalar, so colorings of fewer than two arcs take the
-    same images by a per-element tuple instead.  The cost after the sort
-    is O(|G| * arcs) per orbit, linear in the number of colorings when
-    the action is free.
+    For m <= 256 each coloring is a bytes word, and a word's orbit is
+    one bytes.translate per group element (GroupSpec.byte_tables);
+    above, it is one itemgetter over the word's values per permutation
+    table (GroupSpec.tables), with a per-element tuple for words of
+    fewer than two arcs, where itemgetter would return a scalar.  The
+    tables are built once per group, on the first call that gets a
+    coloring, and shared by every later partition under it; an empty
+    input never builds them.  The loop takes any word not yet reached,
+    maps it to its whole orbit, and keeps the orbit's least member and
+    size, so it steps once per orbit, at O(|G| * arcs) each; the orbits
+    are then sorted by representative, as bytes order is tuple order.
     """
+    m = group.modulus
     colorings = list(colorings)
-    for c in colorings:
-        if c.modulus != group.modulus:
-            raise ValueError("coloring modulus differs from group modulus")
-    pool = {c.values for c in colorings}
-    if len(pool) != len(colorings):
+    if set(map(attrgetter("modulus"), colorings)) - {m}:
+        raise ValueError("coloring modulus differs from group modulus")
+    words = list(map(attrgetter("values"), colorings))
+    if m <= 256:
+        try:
+            words = list(map(bytes, words))
+            bad = b"".join(words).translate(None, bytes(range(m)))
+        except ValueError:  # a value outside range(256)
+            bad = True
+
+        def orbit_of(word):
+            return set(map(word.translate, group.byte_tables))
+    else:
+        bad = not all(map(range(m).__contains__, chain.from_iterable(words)))
+
+        def orbit_of(word):
+            if len(word) > 1:
+                return set(map(itemgetter(*word), group.tables))
+            return {tuple(map(t.__getitem__, word)) for t in group.tables}
+    if bad:
+        raise ValueError(f"coloring values must lie in range({m})")
+    pool = set(words)
+    if len(pool) != len(words):
         raise ValueError("duplicate colorings in input")
-    tables = group.tables if colorings else ()
-    orbits = []
-    seen: set[tuple[int, ...]] = set()
-    for c in sorted(colorings, key=attrgetter("values")):
-        if c.values in seen:
-            continue
-        if len(c.values) > 1:
-            orbit = set(map(itemgetter(*c.values), tables))
-        else:
-            orbit = {tuple(map(t.__getitem__, c.values)) for t in tables}
+    found = []
+    unseen = set(pool)
+    while unseen:
+        orbit = orbit_of(unseen.pop())
         if not orbit <= pool:
             raise ValueError("input is not closed under the group action")
-        seen |= orbit
-        orbits.append(Orbit(c, len(orbit)))
-    return OrbitPartition(group.modulus, group.kind, tuple(orbits), len(orbits))
+        unseen -= orbit
+        found.append((min(orbit), len(orbit)))
+    found.sort()
+    orbits = tuple(Orbit(Coloring(m, tuple(word)), size) for word, size in found)
+    return OrbitPartition(m, group.kind, orbits, len(orbits))
 
 
 def prime_classes(pr: ColoringProfile, kind: str, p: int) -> tuple[int, list[tuple[int, ...]]]:

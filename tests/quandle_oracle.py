@@ -13,7 +13,7 @@ from itertools import permutations
 
 def relabel(perm, values):
     """The values sent through the permutation table perm."""
-    return tuple(perm[v] for v in values)
+    return tuple([perm[v] for v in values])
 
 
 @cache
@@ -38,20 +38,30 @@ def automorphisms_by_search(m: int) -> frozenset:
 def color_group(kind: str, m: int) -> frozenset:
     if kind == "aut":
         # a = k - 1, b = k gives sigma(k+1) - sigma(k) = sigma(k) - sigma(k-1),
-        # so sigma(0) and sigma(1) fix sigma; test every bijective candidate
-        candidates = (tuple((s0 + k * (s1 - s0)) % m for k in range(m))
-                      for s0 in range(m) for s1 in range(m))
-        return frozenset(s for s in candidates
-                         if len(set(s)) == m and keeps_relation(s, m))
+        # so sigma(0) and sigma(1) fix sigma: sigma(k) = s0 + k*d, d = s1 - s0,
+        # is x -> d*x followed by x -> x + s0.  Maps that keep the relation are
+        # closed under composition, and so are their inverses among bijections;
+        # so once x -> x + 1 keeps it, the candidate keeps it exactly when
+        # x -> d*x does, and only those m + 1 maps are tested
+        shifts = [tuple((x + s0) % m for x in range(m)) for s0 in range(m)]
+        assert keeps_relation(shifts[1], m)
+        scalings = (tuple(d * x % m for x in range(m)) for d in range(m))
+        return frozenset(relabel(shift, s)
+                         for s in scalings if len(set(s)) == m and keeps_relation(s, m)
+                         for shift in shifts)
     if kind == "inn":
+        # the symmetries x -> -x and x -> 2 - x generate a group that holds
+        # every symmetry (checked below), so it is the one all of them generate
+        gens = symmetries(m)[:2]
         group = {tuple(range(m))}
         frontier = list(group)
         while frontier:
             g = frontier.pop()
-            for s in symmetries(m):
+            for s in gens:
                 h = relabel(s, g)
                 if h not in group:
                     group.add(h)
                     frontier.append(h)
+        assert group.issuperset(symmetries(m))
         return frozenset(group)
     raise ValueError(f"unknown group kind {kind!r}")

@@ -43,7 +43,9 @@ def counting(monkeypatch, cls, name):
 
 
 def test_tables_once_per_group_and_only_with_colorings(monkeypatch):
-    groups = counting(monkeypatch, GroupSpec, "tables")
+    # the partition at m <= 256 reads the byte tables, never the tuple ones
+    groups = counting(monkeypatch, GroupSpec, "byte_tables")
+    tuples = counting(monkeypatch, GroupSpec, "tables")
     primes = (3, 5, 7, 11)
     reports = verify_counts(KNOT_9_40, primes, variants=3)
     assert all(r.passed for r in reports)
@@ -52,6 +54,7 @@ def test_tables_once_per_group_and_only_with_colorings(monkeypatch):
     assert pr.nullity(7) == pr.nullity(11) == 1
     calls = Counter((g.kind, g.modulus) for g in groups)
     assert calls == {(kind, p): 1 for kind in (AUT, INN) for p in (3, 5)}
+    assert tuples == []
 
 
 def test_groups_only_at_primes_with_colorings(monkeypatch):
@@ -139,8 +142,8 @@ def test_cached_faces_keep_identity():
 def test_cached_tables_keep_identity():
     for kind in (AUT, INN):
         read, fresh = build_group(kind, 7), build_group(kind, 7)
-        assert len(read.tables) == read.size
-        assert "tables" not in vars(fresh)
+        assert len(read.byte_tables) == read.size
+        assert "byte_tables" not in vars(fresh)
         assert read == fresh and hash(read) == hash(fresh)
 
 

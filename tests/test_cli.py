@@ -11,7 +11,8 @@ import pytest
 import foxcolor
 from foxcolor import cli, orbits
 from foxcolor.cli import main
-from foxcolor.diagram import parse_pd
+from foxcolor.coloring import enumerate_colorings
+from foxcolor.diagram import build_diagram, catalog, parse_pd
 
 TREFOIL = "[[1,4,2,5],[3,6,4,1],[5,2,6,3]]"
 # sha256 of stdout before the crossing-free unknot went through the
@@ -481,6 +482,28 @@ class TestJsonWriter:
     def test_edge_cases(self, capsys, obj):
         cli._emit_json(obj)
         assert capsys.readouterr().out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("rows", [
+        [], [(0,)], [(0, 0, 0), (2, 1, 0)], [(7,), (7,)], [(3, 3, 3), (3, 3)],
+        [(-1, -(2 ** 70), 0), (2 ** 64 + 1, 5)],
+    ])
+    def test_trusted_int_rows(self, capsys, rows):
+        # the walk's rows skip the type scan and must still give json.dumps' bytes
+        obj = {"colorings": cli._IntRows(rows), "count": len(rows)}
+        cli._emit_json(obj)
+        expected = json.dumps({"colorings": rows, "count": len(rows)}, indent=2, sort_keys=True)
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_enumerate_rows_are_trusted(self, capsys, monkeypatch):
+        def no_scan(rows):
+            raise AssertionError("the walk's rows were scanned")
+
+        monkeypatch.setattr(cli, "_are_int_rows", no_scan)
+        code, out, _ = run(capsys, "enumerate", "4_1", "--mod", "5", "--all", "--json")
+        assert code == 0
+        walk = enumerate_colorings(build_diagram(catalog("4_1")), 5)
+        assert json.loads(out)["colorings"] == [list(c.values) for c in walk]
+        assert len(walk) == 25
 
 
 @pytest.mark.parametrize("argv", list(UNKNOT_SHA256))

@@ -264,7 +264,7 @@ class TestOrbitPartition:
     def test_catalog_against_reference(self, name):
         d = KNOTS[name]
         rng = random.Random(name)
-        for m in range(3, 12):
+        for m in range(3, 31):
             nontrivial = enumerate_colorings(d, m, nontrivial_only=True)
             shuffled = rng.sample(nontrivial, len(nontrivial))
             for kind in (AUT, INN):
@@ -311,6 +311,62 @@ class TestOrbitPartition:
             nontrivial = enumerate_colorings(d, m, nontrivial_only=True)
             for kind in (AUT, INN):
                 self.assert_like_reference(nontrivial, build_group(kind, m))
+
+    @pytest.mark.parametrize("kind, m", [(INN, 255), (INN, 256), (INN, 257), (INN, 263),
+                                         (AUT, 255), (AUT, 256)])
+    def test_both_sides_of_256(self, kind, m):
+        # bytes words up to m = 256, tuples above; the two-component unlink has
+        # m^2 colorings at every m, in orbits of unequal sizes at composite m
+        nontrivial = enumerate_colorings(LINK_DIAGRAMS["unlink2"], m, nontrivial_only=True)
+        assert len(nontrivial) == m * m - m
+        try:
+            self.assert_like_reference(nontrivial, build_group(kind, m))
+        finally:
+            color_group.cache_clear()  # the aut tables of the reference hold about 70 MB
+
+    @pytest.mark.parametrize("m", (3, 5, 256, 257, 263))
+    def test_zero_and_one_arc_words(self, m):
+        group = build_group(INN, m)
+        self.assert_like_reference([Coloring(m, ())], group)
+        self.assert_like_reference([Coloring(m, (v,)) for v in range(m)], group)
+        part = orbit_partition([Coloring(m, ())], group)
+        assert [(o.representative, o.size) for o in part.orbits] == [(Coloring(m, ()), 1)]
+
+    @pytest.mark.parametrize("m", (5, 263))
+    def test_invalid_input_raises_on_both_paths(self, m):
+        group = build_group(INN, m)
+        # x -> -x and the shifts keep b - a = +-1
+        closed = [Coloring(m, (a, (a + k) % m)) for a in range(m) for k in (1, m - 1)]
+        assert len(orbit_partition(closed, group).orbits) == 1
+        for bad in (closed + closed[:1], closed[:-1], [closed[0], closed[2]]):
+            with pytest.raises(ValueError):
+                reference_partition(bad, group)
+            with pytest.raises(ValueError, match="duplicate|closed"):
+                orbit_partition(bad, group)
+        with pytest.raises(ValueError, match="modulus"):
+            orbit_partition(closed[:1], build_group(INN, m + 2))
+
+    @pytest.mark.parametrize("m", (5, 263))
+    def test_values_outside_range_raise_before_any_table(self, m):
+        # a value >= m used to raise IndexError from a table, and a negative
+        # one to index a table from its end: a silent, wrong partition
+        closed = [Coloring(m, (a, (a + k) % m)) for a in range(m) for k in (1, m - 1)]
+        for value in (m, -1, 256) if m < 256 else (m, -1):
+            for kind in (AUT, INN):
+                group = build_group(kind, m)
+                for bad in (closed + [Coloring(m, (0, value))], [Coloring(m, (value,))]):
+                    with pytest.raises(ValueError, match=rf"range\({m}\)"):
+                        orbit_partition(bad, group)
+                assert "tables" not in vars(group) and "byte_tables" not in vars(group)
+
+    def test_negative_value_not_taken_for_its_residue(self):
+        # the 6 aut images of (0, 1, 2) mod 3, then (0, 1, -1), which reads
+        # as (0, 1, 2) through a table indexed from its end
+        closed = [Coloring(3, p) for p in itertools.permutations(range(3))]
+        group = build_group(AUT, 3)
+        assert [o.size for o in orbit_partition(closed, group).orbits] == [6]
+        with pytest.raises(ValueError, match=r"range\(3\)"):
+            orbit_partition(closed + [Coloring(3, (0, 1, -1))], group)
 
     @pytest.mark.parametrize("kind", (AUT, INN))
     def test_invalid_input_raises_like_reference(self, kind):

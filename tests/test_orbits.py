@@ -7,7 +7,7 @@ from quandle_oracle import automorphisms_by_search, color_group, keeps_relation,
 from foxcolor.coloring import (Coloring, enumerate_colorings, extend_coloring,
                                generating_arcs, is_odd_prime, profile)
 from foxcolor.diagram import build_diagram, catalog, random_variants
-from foxcolor.orbits import (AUT, INN, build_group, check_group, orbit_partition,
+from foxcolor.orbits import (AUT, INN, GroupSpec, build_group, check_group, orbit_partition,
                              predicted_class_count, verify_counts)
 
 TREFOIL = build_diagram(catalog("3_1"))
@@ -65,7 +65,29 @@ class TestBuildGroup:
     def test_size_without_tables(self):
         g = build_group(AUT, 3001)
         assert g.size == 3001 * 3000
-        assert "tables" not in vars(g)
+        assert "tables" not in vars(g) and "byte_tables" not in vars(g)
+
+    @pytest.mark.parametrize("kind", [AUT, INN])
+    def test_byte_tables_are_the_tables(self, kind):
+        for m in range(3, 41):
+            g = build_group(kind, m)
+            assert set(map(len, g.byte_tables)) == {256}
+            assert [t[:m] for t in g.byte_tables] == list(map(bytes, g.tables))
+
+    @pytest.mark.parametrize("m", range(250, 257))
+    def test_byte_tables_up_to_256(self, m):
+        inn = build_group(INN, m)
+        assert [t[:m] for t in inn.byte_tables] == list(map(bytes, inn.tables))
+        # the tuple tables of the whole aut group would hold up to 62 750 tuples
+        # here: every lam is checked at every 16th mu, and every mu at every 16th lam
+        aut = build_group(AUT, m)
+        tables = aut.byte_tables
+        assert len(tables) == aut.size and set(map(len, tables)) == {256}
+        k = len(aut.mus)
+        for lams, mus in ((aut.lams, aut.mus[::16]), (aut.lams[::16], aut.mus)):
+            part = GroupSpec(AUT, m, lams, mus)
+            assert [tables[aut.lams.index(l) * k + u][:m]
+                    for l, u in itertools.product(lams, mus)] == list(map(bytes, part.tables))
 
     def test_inn_subset_of_aut(self):
         for m in (3, 4, 7, 12):
