@@ -11,7 +11,7 @@ from .coloring import (Coloring, ColoringProfile, EnumerationBudgetError,
                        coloring_matrix, count_colorings, enumerate_colorings,
                        extend_coloring, generating_arcs, link_determinant,
                        p_nullity, profile)
-from .orbits import (GroupSpec, Orbit, OrbitPartition, VerifyReport, build_group,
+from .orbits import (GroupSpec, OrbitPartition, VerifyReport, build_group,
                      orbit_partition, predicted_class_count, prime_classes,
                      verify_counts)
 
@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Coloring", "ColoringProfile", "EnumerationBudgetError", "GroupSpec",
-    "IntegerMatrix", "ModularKernel", "MoveError", "MoveSite", "Orbit",
-    "OrbitPartition", "PdCode", "PdError", "PlanarDiagram", "SmithDecomposition",
+    "IntegerMatrix", "ModularKernel", "MoveError", "MoveSite", "OrbitPartition",
+    "PdCode", "PdError", "PlanarDiagram", "SmithDecomposition",
     "VerifyReport", "apply_move",
     "build_diagram", "build_group", "catalog", "catalog_names",
     "coloring_matrix", "count_colorings",

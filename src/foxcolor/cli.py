@@ -237,8 +237,7 @@ def cmd_classes(args) -> int:
         "group": group.kind,
         "nontrivial": len(nontrivial),
         "class_count": part.class_count,
-        "orbits": [{"size": o.size, "representative": o.representative.values}
-                   for o in part.orbits],
+        "orbits": [{"size": size, "representative": rep} for rep, size in part.orbits],
     }
     if args.json:
         _emit_json(payload)
@@ -249,9 +248,8 @@ def cmd_classes(args) -> int:
     if part.orbits:
         print(f"arcs: {_arc_header(d)}")
         print("class  size  representative")
-        for i, o in enumerate(part.orbits, 1):
-            rep = " ".join(map(str, o.representative.values))
-            print(f"{i:<5}  {o.size:<4}  {rep}")
+        for i, (rep, size) in enumerate(part.orbits, 1):
+            print(f"{i:<5}  {size:<4}  {' '.join(map(str, rep))}")
     return EXIT_OK
 
 

@@ -7,11 +7,11 @@ affine maps x -> lam*x + mu with lam a unit; the inner subgroup is
 lam = +-1 (mu even when m is even).  A permutation that merely keeps the
 crossings of one coloring would make the classes its arc partitions by
 color, which Reidemeister moves do not preserve.  A GroupSpec holds the
-group as its lam and mu lists, and its permutation tables once read:
-bytes.translate tables up to m = 256, tuples above.  Acting arcwise on
-the non-trivial m-colorings of a diagram, the orbits are the equivalence
-classes; for an odd prime p and nullity n the class counts have closed
-forms, verified here against brute-force orbit partitions.
+group as its lam and mu lists, and up to m = 256 its bytes.translate
+tables once read; above, orbits come from the lists alone.  Acting
+arcwise on the non-trivial m-colorings of a diagram, the orbits are the
+equivalence classes; for an odd prime p and nullity n the class counts
+have closed forms, verified here against brute-force orbit partitions.
 
 For an odd prime the action is free, and prime_classes lists the sorted
 orbit representatives straight from the reduced echelon basis of the
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
 from math import gcd
-from operator import attrgetter, itemgetter, mod
+from operator import attrgetter, mod
 
-from .coloring import Coloring, ColoringProfile, ENUMERATION_BUDGET, is_odd_prime, profile
+from .coloring import ColoringProfile, ENUMERATION_BUDGET, is_odd_prime, profile
 from .diagram import PlanarDiagram, random_variants
 from .linalg import IntegerMatrix, ModularKernel, _rref_mod_p, prime_kernel
 
@@ -44,9 +44,9 @@ VARIANT_MOVES = 3
 @dataclass(frozen=True)
 class GroupSpec:
     """The affine group x -> lam*x + mu of Z_m, or its inner subgroup, as
-    the lists of its lam and of its mu; every pair is one element.  Its
-    permutation tables are built on first read and cached: byte_tables,
-    which orbit_partition reads up to m = 256, and tables above."""
+    the lists of its lam and of its mu; every pair is one element, lam
+    ascending, then mu.  For m <= 256 orbit_partition reads byte_tables,
+    built on first read and cached; above, it reads the lists alone."""
 
     kind: str
     modulus: int
@@ -58,20 +58,12 @@ class GroupSpec:
         return len(self.lams) * len(self.mus)
 
     @cached_property
-    def tables(self) -> tuple[tuple[int, ...], ...]:
-        """Each element as a permutation table of 0..m-1, lam ascending, then
-        mu ascending; built on first use, no part of equality or hashing."""
-        m = self.modulus
-        return tuple(tuple((l * x + u) % m for x in range(m))
-                     for l in self.lams for u in self.mus)
-
-    @cached_property
     def byte_tables(self) -> tuple[bytes, ...]:
-        """For m <= 256, each element as a bytes.translate table, in the order
-        of tables: entry x is (lam*x + mu) % m for every byte x, so the first
-        m entries are the permutation.  Built in C, one multiplication
-        table per lam, then one translate of it per mu; like tables, on
-        first use and outside equality and hashing."""
+        """For m <= 256, each element as a bytes.translate table, lam
+        ascending, then mu: entry x is (lam*x + mu) % m for every byte x,
+        so the first m entries are the permutation.  Built in C, one
+        multiplication table per lam, then one translate of it per mu; on
+        first use, and no part of equality or hashing."""
         m = self.modulus
         adds = [bytes(map(mod, range(u, u + 256), repeat(m))) for u in self.mus]
         return tuple(chain.from_iterable(
@@ -99,7 +91,7 @@ def build_group(kind: str, m: int) -> GroupSpec:
 
     Both lists ascend.  For even m the inner maps only admit even mu,
     giving a dihedral group of order m; for odd m every mu occurs and the
-    order is 2m.  No element is listed until GroupSpec.tables is read.
+    order is 2m.  No element is listed here.
     """
     kind = check_group(kind, m)
     if kind == AUT:
@@ -109,20 +101,17 @@ def build_group(kind: str, m: int) -> GroupSpec:
 
 
 @dataclass(frozen=True)
-class Orbit:
-    representative: Coloring
-    size: int
-
-
-@dataclass(frozen=True)
 class OrbitPartition:
-    modulus: int
-    kind: str
-    orbits: tuple[Orbit, ...]
-    class_count: int
+    """The orbits as (representative values, size) pairs, sorted."""
+
+    orbits: tuple[tuple[tuple[int, ...], int], ...]
+
+    @property
+    def class_count(self) -> int:
+        return len(self.orbits)
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(o.size for o in self.orbits)
+        return tuple(size for _, size in self.orbits)
 
 
 def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
@@ -131,20 +120,19 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
     Expects the full set of non-trivial colorings for one diagram and
     modulus; duplicates, a set not closed under the action, or a value
     outside range(m) mean an upstream bug and raise ValueError, the last
-    before any table is read.  Representatives are the lexicographically
+    before any orbit is formed.  Representatives are the lexicographically
     least members and orbits are listed in representative order.
 
     For m <= 256 each coloring is a bytes word, and a word's orbit is
-    one bytes.translate per group element (GroupSpec.byte_tables);
-    above, it is one itemgetter over the word's values per permutation
-    table (GroupSpec.tables), with a per-element tuple for words of
-    fewer than two arcs, where itemgetter would return a scalar.  The
-    tables are built once per group, on the first call that gets a
-    coloring, and shared by every later partition under it; an empty
-    input never builds them.  The loop takes any word not yet reached,
-    maps it to its whole orbit, and keeps the orbit's least member and
-    size, so it steps once per orbit, at O(|G| * arcs) each; the orbits
-    are then sorted by representative, as bytes order is tuple order.
+    one bytes.translate per group element (GroupSpec.byte_tables, built
+    once per group, on the first call that gets a coloring, and shared
+    by every later partition under it; an empty input never builds
+    them).  Above, a word's orbit is (lam*x + mu) % m over the word for
+    every lam and mu of the group, so memory grows with one orbit, not
+    with |G| * m.  The loop takes any word not yet reached, maps it to
+    its whole orbit, and keeps the orbit's least member and size, so it
+    steps once per orbit, at O(|G| * arcs) each; the orbits are then
+    sorted by representative, as bytes order is tuple order.
     """
     m = group.modulus
     colorings = list(colorings)
@@ -164,9 +152,7 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
         bad = not all(map(range(m).__contains__, chain.from_iterable(words)))
 
         def orbit_of(word):
-            if len(word) > 1:
-                return set(map(itemgetter(*word), group.tables))
-            return {tuple(map(t.__getitem__, word)) for t in group.tables}
+            return {tuple([(l * x + u) % m for x in word]) for l in group.lams for u in group.mus}
     if bad:
         raise ValueError(f"coloring values must lie in range({m})")
     pool = set(words)
@@ -181,8 +167,7 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
         unseen -= orbit
         found.append((min(orbit), len(orbit)))
     found.sort()
-    orbits = tuple(Orbit(Coloring(m, tuple(word)), size) for word, size in found)
-    return OrbitPartition(m, group.kind, orbits, len(orbits))
+    return OrbitPartition(tuple((tuple(word), size) for word, size in found))
 
 
 def prime_classes(pr: ColoringProfile, kind: str, p: int) -> tuple[int, list[tuple[int, ...]]]:
@@ -329,7 +314,7 @@ def _verify_prime(base: ColoringProfile, others, p: int, label: str,
         if colorings and not groups:
             groups.extend((build_group(AUT, p), build_group(INN, p)))
         if not groups:
-            return colorings, OrbitPartition(p, AUT, (), 0), OrbitPartition(p, INN, (), 0)
+            return colorings, OrbitPartition(()), OrbitPartition(())
         return colorings, *(orbit_partition(colorings, g) for g in groups)
 
     nontrivial, aut, inn = partitions(base)

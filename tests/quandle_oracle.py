@@ -4,7 +4,8 @@ R_m is Z_m with a * b = 2b - a, the crossing relation of a Fox coloring.
 `color_group("aut", m)` is Aut(R_m), every permutation of Z_m that keeps
 the relation; `color_group("inn", m)` is the inner subgroup, generated by
 the symmetries x -> 2b - x.  Both are sets of permutation tables, built
-without foxcolor, so tests can hold foxcolor.orbits.build_group to them.
+without foxcolor, so tests can hold foxcolor.orbits.build_group to them;
+`affine_tables` turns a group's lam and mu lists into such tables.
 """
 
 from functools import cache
@@ -14,6 +15,13 @@ from itertools import permutations
 def relabel(perm, values):
     """The values sent through the permutation table perm."""
     return tuple([perm[v] for v in values])
+
+
+def affine_tables(group) -> tuple:
+    """The tables of x -> lam*x + mu for the group's lams and mus, lam
+    ascending, then mu, as the group lists its elements."""
+    m = group.modulus
+    return tuple(tuple((l * x + u) % m for x in range(m)) for l in group.lams for u in group.mus)
 
 
 @cache

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from math import gcd
 
 from coloring_oracle import brute_force_colorings
-from quandle_oracle import relabel
+from quandle_oracle import affine_tables, relabel
 from smith_oracle import smith_check
 
 from foxcolor.coloring import (Coloring, coloring_matrix, enumerate_colorings,
@@ -153,5 +153,5 @@ def test_criterion_8_negative_control():
         assert not Coloring(5, relabel((1, 0, 3, 4, 2), coloring.values)).satisfies(d)
         group = build_group(AUT, 5)
         assert group.size == 20
-        for t in group.tables:
+        for t in affine_tables(group):
             assert Coloring(5, relabel(t, coloring.values)).satisfies(d)

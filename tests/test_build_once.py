@@ -1,6 +1,6 @@
 """verify's structures are built once per thing they depend on.
 
-Counters wrap the builders: groups and their permutation tables once per
+Counters wrap the builders: groups and their bytes.translate tables once per
 prime, and only for a prime with non-trivial colorings, faces and the
 slot pairing once per PD code, one diagram per variant, one Smith form
 per profile however often generating_arcs and extend_coloring read it,
@@ -43,9 +43,8 @@ def counting(monkeypatch, cls, name):
 
 
 def test_tables_once_per_group_and_only_with_colorings(monkeypatch):
-    # the partition at m <= 256 reads the byte tables, never the tuple ones
+    # the partition at m <= 256 reads the byte tables and caches nothing else
     groups = counting(monkeypatch, GroupSpec, "byte_tables")
-    tuples = counting(monkeypatch, GroupSpec, "tables")
     primes = (3, 5, 7, 11)
     reports = verify_counts(KNOT_9_40, primes, variants=3)
     assert all(r.passed for r in reports)
@@ -54,7 +53,8 @@ def test_tables_once_per_group_and_only_with_colorings(monkeypatch):
     assert pr.nullity(7) == pr.nullity(11) == 1
     calls = Counter((g.kind, g.modulus) for g in groups)
     assert calls == {(kind, p): 1 for kind in (AUT, INN) for p in (3, 5)}
-    assert tuples == []
+    for g in groups:
+        assert vars(g).keys() == {"kind", "modulus", "lams", "mus", "byte_tables"}
 
 
 def test_groups_only_at_primes_with_colorings(monkeypatch):

@@ -239,8 +239,8 @@ class TestClasses:
         assert calls == [("inn", 401)]
 
     def test_no_colorings_build_no_table(self, capsys, monkeypatch):
-        # the group of 3001 * 3000 maps is never listed when nothing is partitioned;
-        # reading its tables fails at once instead of filling memory
+        # the group of 3001 * 3000 maps is never listed when nothing is partitioned:
+        # reading its byte tables fails at once, and nothing is cached on it
         groups = []
         build_group = orbits.build_group
 
@@ -252,13 +252,14 @@ class TestClasses:
             raise AssertionError(f"tables of a group of {group.size} built")
 
         monkeypatch.setattr(orbits, "build_group", recording_build_group)
-        monkeypatch.setattr(orbits.GroupSpec, "tables", property(no_tables))
+        monkeypatch.setattr(orbits.GroupSpec, "byte_tables", property(no_tables))
         code, out, _ = run(capsys, "classes", "3_1", "--mod", "3001")
         assert code == 0
         assert "classes: 0" in out
         [group] = groups
         assert (len(group.lams), len(group.mus)) == (3000, 3001)
         assert group.size == 3001 * 3000
+        assert vars(group).keys() == {"kind", "modulus", "lams", "mus"}
 
     def test_bad_modulus_before_budget(self, capsys):
         # m = 2 has no group; that input error wins over the enumeration budget

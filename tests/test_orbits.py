@@ -2,17 +2,20 @@ import itertools
 from math import gcd
 
 import pytest
-from quandle_oracle import automorphisms_by_search, color_group, keeps_relation, relabel
+from quandle_oracle import (affine_tables, automorphisms_by_search, color_group, keeps_relation,
+                            relabel)
 
 from foxcolor.coloring import (Coloring, enumerate_colorings, extend_coloring,
                                generating_arcs, is_odd_prime, profile)
-from foxcolor.diagram import build_diagram, catalog, random_variants
+from foxcolor.diagram import build_diagram, catalog, parse_pd, random_variants
 from foxcolor.orbits import (AUT, INN, GroupSpec, build_group, check_group, orbit_partition,
                              predicted_class_count, verify_counts)
 
 TREFOIL = build_diagram(catalog("3_1"))
 FIGURE8 = build_diagram(catalog("4_1"))
 KNOT940 = build_diagram(catalog("9_40"))
+UNLINK = build_diagram(parse_pd("[[2,4,3,1],[3,4,2,1]]"))
+FIELDS = {"kind", "modulus", "lams", "mus"}  # a GroupSpec that has cached nothing
 
 
 def phi(m):
@@ -41,8 +44,9 @@ class TestGroupAxioms:
     def test_exhaustive_up_to_30(self, kind):
         for m in range(3, 31):
             g = build_group(kind, m)
-            assert len(set(g.tables)) == len(g.tables) == g.size
-            assert set(g.tables) == color_group(kind, m)
+            tables = affine_tables(g)
+            assert len(set(tables)) == len(tables) == g.size
+            assert set(tables) == color_group(kind, m)
 
 
 class TestBuildGroup:
@@ -54,7 +58,7 @@ class TestBuildGroup:
         g = build_group(INN, 6)
         assert g.size == 6
         assert (g.lams, g.mus) == ((1, 5), (0, 2, 4))
-        assert [lam_mu(t) for t in g.tables] == [
+        assert [lam_mu(t) for t in affine_tables(g)] == [
             (1, 0), (1, 2), (1, 4), (5, 0), (5, 2), (5, 4)]
 
     def test_closed_form_sizes(self):
@@ -65,48 +69,49 @@ class TestBuildGroup:
     def test_size_without_tables(self):
         g = build_group(AUT, 3001)
         assert g.size == 3001 * 3000
-        assert "tables" not in vars(g) and "byte_tables" not in vars(g)
+        assert vars(g).keys() == FIELDS
 
     @pytest.mark.parametrize("kind", [AUT, INN])
     def test_byte_tables_are_the_tables(self, kind):
         for m in range(3, 41):
             g = build_group(kind, m)
             assert set(map(len, g.byte_tables)) == {256}
-            assert [t[:m] for t in g.byte_tables] == list(map(bytes, g.tables))
+            assert [t[:m] for t in g.byte_tables] == list(map(bytes, affine_tables(g)))
 
     @pytest.mark.parametrize("m", range(250, 257))
     def test_byte_tables_up_to_256(self, m):
         inn = build_group(INN, m)
-        assert [t[:m] for t in inn.byte_tables] == list(map(bytes, inn.tables))
-        # the tuple tables of the whole aut group would hold up to 62 750 tuples
-        # here: every lam is checked at every 16th mu, and every mu at every 16th lam
+        assert [t[:m] for t in inn.byte_tables] == list(map(bytes, affine_tables(inn)))
+        # the tables of the whole aut group would hold up to 62 750 tuples here:
+        # every lam is checked at every 16th mu, and every mu at every 16th lam
         aut = build_group(AUT, m)
         tables = aut.byte_tables
         assert len(tables) == aut.size and set(map(len, tables)) == {256}
         k = len(aut.mus)
         for lams, mus in ((aut.lams, aut.mus[::16]), (aut.lams[::16], aut.mus)):
-            part = GroupSpec(AUT, m, lams, mus)
+            part = affine_tables(GroupSpec(AUT, m, lams, mus))
             assert [tables[aut.lams.index(l) * k + u][:m]
-                    for l, u in itertools.product(lams, mus)] == list(map(bytes, part.tables))
+                    for l, u in itertools.product(lams, mus)] == list(map(bytes, part))
 
     def test_inn_subset_of_aut(self):
         for m in (3, 4, 7, 12):
-            assert set(build_group(INN, m).tables) <= set(build_group(AUT, m).tables)
+            inn, aut = (set(affine_tables(build_group(kind, m))) for kind in (INN, AUT))
+            assert inn <= aut
 
     def test_table_mod5(self):
         g = build_group(AUT, 5)
-        assert g.tables[g.lams.index(2) * len(g.mus) + 3] == (3, 0, 2, 4, 1)
+        assert affine_tables(g)[g.lams.index(2) * len(g.mus) + 3] == (3, 0, 2, 4, 1)
 
     def test_doubling_table_mod5(self):
         # x -> 2x is the permutation fixing 0 and cycling 1 -> 2 -> 4 -> 3
         g = build_group(AUT, 5)
-        assert g.tables[g.lams.index(2) * len(g.mus)] == (0, 2, 4, 1, 3)
+        assert affine_tables(g)[g.lams.index(2) * len(g.mus)] == (0, 2, 4, 1, 3)
 
     def test_units_only(self):
         # x -> 2x and x -> 0 are no permutations of Z_6
         g = build_group(AUT, 6)
         assert g.lams == (1, 5)
-        assert not {(0, 2, 4, 0, 2, 4), (0,) * 6} & set(g.tables)
+        assert not {(0, 2, 4, 0, 2, 4), (0,) * 6} & set(affine_tables(g))
 
     def test_small_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -127,16 +132,16 @@ class TestBuildGroup:
     def test_deterministic_order(self):
         g = build_group(AUT, 7)
         assert g.lams == (1, 2, 3, 4, 5, 6) and g.mus == tuple(range(7))
-        assert [lam_mu(t) for t in g.tables] == list(itertools.product(g.lams, g.mus))
+        assert [lam_mu(t) for t in affine_tables(g)] == list(itertools.product(g.lams, g.mus))
 
 
 class TestAction:
     def test_identity_action(self):
         c = Coloring(3, (0, 1, 2))
-        assert relabel(build_group(AUT, 3).tables[0], c.values) == c.values
+        assert relabel(affine_tables(build_group(AUT, 3))[0], c.values) == c.values
 
     def test_trivial_stays_trivial(self):
-        shift = build_group(AUT, 3).tables[1]  # x -> x + 1
+        shift = affine_tables(build_group(AUT, 3))[1]  # x -> x + 1
         assert relabel(shift, (0, 0, 0)) == (1, 1, 1)
 
     def test_modulus_mismatch(self):
@@ -146,13 +151,13 @@ class TestAction:
     def test_colorings_stay_colorings(self):
         for d, p in ((TREFOIL, 3), (FIGURE8, 5), (KNOT940, 5)):
             colorings = enumerate_colorings(d, p)
-            for t in build_group(AUT, p).tables:
+            for t in affine_tables(build_group(AUT, p)):
                 for c in colorings[:30]:
                     assert Coloring(p, relabel(t, c.values)).satisfies(d)
 
     def test_action_is_homomorphism(self):
         colorings = enumerate_colorings(FIGURE8, 5)
-        tables = build_group(AUT, 5).tables
+        tables = affine_tables(build_group(AUT, 5))
         for t1, t2 in itertools.islice(itertools.product(tables, tables), 60):
             composed = relabel(t1, t2)
             assert composed in tables
@@ -161,14 +166,14 @@ class TestAction:
 
     def test_faithful(self):
         colorings = enumerate_colorings(TREFOIL, 3)
-        for t in build_group(AUT, 3).tables:
+        for t in affine_tables(build_group(AUT, 3)):
             if t == (0, 1, 2):
                 continue
             assert any(relabel(t, c.values) != c.values for c in colorings)
 
     def test_affine_maps_preserve_color_count(self):
         for c in enumerate_colorings(KNOT940, 5, nontrivial_only=True)[:40]:
-            for t in build_group(AUT, 5).tables:
+            for t in affine_tables(build_group(AUT, 5)):
                 assert len(set(relabel(t, c.values))) == len(set(c.values))
 
 
@@ -179,7 +184,7 @@ class TestPermutationUnchecked:
 
     def test_affine_always_valid(self):
         c = enumerate_colorings(FIGURE8, 5, nontrivial_only=True)[0]
-        for t in build_group(AUT, 5).tables:
+        for t in affine_tables(build_group(AUT, 5)):
             assert Coloring(5, relabel(t, c.values)).satisfies(FIGURE8)
 
     def test_non_affine_breaks_940(self):
@@ -196,7 +201,7 @@ class TestPermutationUnchecked:
         # (0, 0, 2) is no permutation: neither group lists it
         for kind in (AUT, INN):
             assert (0, 0, 2) not in color_group(kind, 3)
-            assert (0, 0, 2) not in build_group(kind, 3).tables
+            assert (0, 0, 2) not in affine_tables(build_group(kind, 3))
 
 
 class TestReadingOfTheRelation:
@@ -256,17 +261,16 @@ class TestOrbitPartition:
     def test_representatives_are_minima(self):
         nontrivial = enumerate_colorings(KNOT940, 5, nontrivial_only=True)
         part = orbit_partition(nontrivial, build_group(INN, 5))
-        reps = [o.representative for o in part.orbits]
+        reps = [rep for rep, _ in part.orbits]
         assert reps == sorted(reps)
         assert sum(part.sizes()) == len(nontrivial)
 
     def test_orbit_members_share_color_count(self):
         nontrivial = enumerate_colorings(KNOT940, 5, nontrivial_only=True)
         part = orbit_partition(nontrivial, build_group(AUT, 5))
-        for o in part.orbits:
-            counts = {len(set(relabel(t, o.representative.values)))
-                      for t in build_group(AUT, 5).tables}
-            assert counts == {len(set(o.representative.values))}
+        for rep, _ in part.orbits:
+            counts = {len(set(relabel(t, rep))) for t in affine_tables(build_group(AUT, 5))}
+            assert counts == {len(set(rep))}
 
     def test_empty_input(self):
         part = orbit_partition([], build_group(AUT, 5))
@@ -292,6 +296,36 @@ class TestOrbitPartition:
             inn = orbit_partition(nontrivial, build_group(INN, p))
             assert all(s == p * (p - 1) for s in aut.sizes())
             assert all(s == 2 * p for s in inn.sizes())
+
+
+class TestAbove256:
+    """Above m = 256 orbits come from the lam and mu lists; checked here
+    against closed forms, without a table of the group."""
+
+    @pytest.mark.parametrize("p", (257, 263))
+    def test_unlink_one_free_orbit(self, p):
+        nontrivial = enumerate_colorings(UNLINK, p, nontrivial_only=True)
+        group = build_group(AUT, p)
+        part = orbit_partition(nontrivial, group)
+        n = profile(UNLINK).nullity(p)
+        assert part.class_count == 1 == predicted_class_count(AUT, p, n)
+        assert part.orbits == ((min(c.values for c in nontrivial), p * (p - 1)),)
+        assert vars(group).keys() == FIELDS
+
+    def test_coprime_factors_multiply(self):
+        # Aff(Z_ab) = Aff(Z_a) x Aff(Z_b) for coprime a and b, acting on the
+        # m-colorings as on their CRT components; counting the constants as
+        # one more orbit (of size q), orbits and their sizes multiply
+        def orbits_with_constants(q):
+            group = build_group(AUT, q)
+            part = orbit_partition(enumerate_colorings(KNOT940, q, nontrivial_only=True), group)
+            return part.sizes() + (q,), group
+
+        sizes, group = orbits_with_constants(300)
+        assert vars(group).keys() == FIELDS
+        factors = [orbits_with_constants(q)[0] for q in (4, 3, 25)]
+        assert sorted(sizes) == sorted(a * b * c for a, b, c in itertools.product(*factors))
+        assert list(map(len, factors)) == [1, 2, 7]  # so 13 classes mod 300
 
 
 class TestPredictedCounts:
