@@ -285,6 +285,9 @@ def cmd_verify(args) -> int:
         return _fail(f"bad --primes list {args.primes!r}", EXIT_INPUT)
     if not primes:
         return _fail("--primes names no prime", EXIT_INPUT)
+    repeats = [p for i, p in enumerate(primes) if p in primes[:i]]
+    if repeats:
+        return _fail(f"--primes repeats {repeats[0]}", EXIT_INPUT)
     if args.moves < 0:
         return _fail("--moves must be at least 0", EXIT_INPUT)
     if args.budget < 0:

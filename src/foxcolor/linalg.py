@@ -9,16 +9,19 @@ Two eliminations serve the Smith form, both on sparse storage: rows are
 an operation touches.
 
 The unit-pivot elimination gives the invariant factors and the F_p
-kernels.  Row after row, in index order and pass after pass, a row that
-holds a +-1 entry pivots on it, in the column with the fewest nonzeros,
-clears that column from the other rows and leaves the matrix with one
-invariant factor 1.  Coloring matrices have three nonzeros per row and
-almost all invariant factors 1, so what is left without a unit is a
-small block, which the reference elimination diagonalizes.  The same
-pivots give a basis of the kernel mod a prime p (prime_kernel): the
-reduced echelon form mod p of the block left, back-substituted through
-the pivot rows in reverse order.  Invariant factors, determinants,
-nullities, counts and prime kernels never run more.
+kernels.  Pass after pass, a row that holds a +-1 entry pivots on it, in
+the column with the fewest nonzeros, clears that column from the other
+rows and leaves the matrix with one invariant factor 1.  A pass takes
+only the shortest rows, in index order, and the bound on their length
+rises only when a pass pivots on none (Markowitz's rule of sparsest
+pivots first), so fill-in grows few rows.  Coloring matrices have three
+nonzeros per row and almost all invariant factors 1, so what is left
+without a unit is a small block, which the reference elimination
+diagonalizes.  The same pivots give a basis of the kernel mod a prime p
+(prime_kernel): the reduced echelon form mod p of the block left,
+back-substituted through the pivot rows in reverse order.  Invariant
+factors, determinants, nullities, counts and prime kernels never run
+more.
 
 The reference elimination picks the nonzero of smallest absolute value,
 ties by lowest (row, col), and logs its column operations.  On the whole
@@ -261,13 +264,15 @@ def _find_pivot(a, s):
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     """The Smith normal form of m: invariant factors now, c on demand.
 
-    The unit-pivot elimination (_unit_pivots) runs on the nonzeros of m
-    and splits off one factor 1 per pivot; the reference elimination
-    diagonalizes the block left in the other columns, and its factors
-    come last.  The factors are non-negative and each divides the next.
-    c, and the reference elimination of the whole matrix behind it,
-    waits for its first read (see SmithDecomposition), so callers that
-    read only the factors or prime kernels never pay for it.
+    The unit-pivot elimination (_unit_pivots) runs on the nonzeros of m,
+    shortest rows first, and splits off one factor 1 per pivot; the
+    reference elimination diagonalizes the block left in the other
+    columns, and its factors come last.  The factors are non-negative and
+    each divides the next; being canonical, they do not depend on the
+    pivot order, which shows only in the pivot record.  c, and the
+    reference elimination of the whole matrix behind it, waits for its
+    first read (see SmithDecomposition), so callers that read only the
+    factors or prime kernels never pay for it.
     """
     pivots, rest = _unit_pivots(list(map(dict, m.nonzeros)), m.cols)
     done = {j for j, _ in pivots}
@@ -281,14 +286,18 @@ def _unit_pivots(a, nc: int):
     """Eliminate on +-1 pivots until no row of a holds one.
 
     a holds the rows of an nc-column matrix as {col: value} dicts and is
-    changed in place.  The rows are visited in index order, pass after
-    pass, until a pass pivots on none.  A row holding a unit pivots on
-    it, in the column with the fewest nonzeros (then the lowest), takes
-    that column out of every other row by a row operation, and leaves
-    the matrix; the columns it also holds then carry no constraint that
-    column operations could not clear.  Returns the pivots as (column,
-    row) in pivot order, each row as it stood when it pivoted, and the
-    rows left, in index order.
+    changed in place.  Each pass visits the rows left in index order and
+    takes only those holding at most bound nonzeros at the visit; longer
+    ones wait.  bound starts at the fewest nonzeros of any row, and when
+    a pass pivots on none it rises to the next length among the rows
+    waiting; once none waits, the rows left hold no unit.  A row holding
+    a unit pivots on it, in the column with the fewest nonzeros (then the
+    lowest), takes that column out of every other row by a row
+    operation, and leaves the matrix; the columns it also holds then
+    carry no constraint that column operations could not clear.  Short
+    rows first keep the fill-in, and so the block left, small.  Returns
+    the pivots as (column, row) in pivot order, each row as it stood when
+    it pivoted, and the rows left, in index order.
     """
     cols = [set() for _ in range(nc)]
     for i, row in enumerate(a):
@@ -296,10 +305,14 @@ def _unit_pivots(a, nc: int):
             cols[j].add(i)
     pivots = []
     left = range(len(a))
+    bound = min(map(len, a), default=0)
     while True:
         active, left = left, []
         for i in active:
             row = a[i]
+            if len(row) > bound:
+                left.append(i)
+                continue
             j = None
             for k, v in row.items():
                 if v == 1 or v == -1:
@@ -330,7 +343,10 @@ def _unit_pivots(a, nc: int):
                 row[j] = u
             pivots.append((j, row))
         if len(left) == len(active):
-            return pivots, [a[i] for i in left]
+            longer = [n for n in map(len, map(a.__getitem__, left)) if n > bound]
+            if not longer:
+                return pivots, [a[i] for i in left]
+            bound = min(longer)
 
 
 def _diagonalize(w: _Worker) -> tuple[int, ...]:

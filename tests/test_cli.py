@@ -332,6 +332,17 @@ class TestVerify:
         assert out == ""
         assert "--primes" in err
 
+    @pytest.mark.parametrize("primes", ["3,3", "3,5,03", " 3 , 5,3"])
+    def test_repeated_prime_exit_1(self, capsys, monkeypatch, primes):
+        def unreached(*args, **kwargs):
+            raise AssertionError("verify_counts ran")
+
+        monkeypatch.setattr(cli.orb, "verify_counts", unreached)
+        code, out, err = run(capsys, "verify", "3_1", "--primes", primes)
+        assert code == 1
+        assert out == ""
+        assert "--primes repeats 3" in err
+
     def test_negative_moves_exit_1(self, capsys):
         code, out, err = run(capsys, "verify", "3_1", "--primes", "3", "--moves", "-2")
         assert code == 1

@@ -4,7 +4,10 @@ replaces.
 smith_normal_form takes its invariant factors from unit pivots and the
 reference elimination of the block left without a unit; they must equal
 the factors of the reference elimination of the whole matrix, and the
-minor-gcd oracle's up to 6x6.  prime_kernel spans the F_p kernel from
+minor-gcd oracle's up to 6x6.  The unit pivots go shortest rows first;
+reference_unit_pivots keeps the index-order rule they replace, and the
+two rules must give the same factors and the same F_p kernels, with no
++-1 entry left in the block either way.  prime_kernel spans the F_p kernel from
 the same pivots; its walk must list exactly the colorings that the walk
 over the reference transform c lists, that the exhaustive search finds,
 and, on random small matrices, that a search over all of F_p^n finds.
@@ -18,6 +21,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from coloring_oracle import brute_force_colorings
@@ -50,8 +54,61 @@ def reference_factors(m: IntegerMatrix) -> tuple[int, ...]:
     return linalg._diagonalize(linalg._Worker(m.nonzeros, m.cols))
 
 
-def kernel_set(m: IntegerMatrix, p: int) -> set[tuple[int, ...]]:
-    kernel = prime_kernel(smith_normal_form(m), p)
+def reference_unit_pivots(a, nc: int):
+    """The index-order rule: every row in index order, pass after pass,
+    until a pass pivots on none; the column rule, the arithmetic and the
+    returned record are those of linalg._unit_pivots."""
+    cols = [set() for _ in range(nc)]
+    for i, row in enumerate(a):
+        for j in row:
+            cols[j].add(i)
+    pivots = []
+    left = range(len(a))
+    while True:
+        active, left = left, []
+        for i in active:
+            row = a[i]
+            j = None
+            for k, v in row.items():
+                if v == 1 or v == -1:
+                    if j is None or (len(cols[k]), k) < (len(cols[j]), j):
+                        j = k
+            if j is None:
+                left.append(i)
+                continue
+            for k in row:
+                cols[k].remove(i)
+            hit = cols[j]
+            if hit:
+                u = row.pop(j)
+                for r in hit:
+                    target = a[r]
+                    q = target.pop(j) * u
+                    for k, v in row.items():
+                        x = target.get(k)
+                        if x is None:
+                            target[k] = -q * v
+                            cols[k].add(r)
+                        elif x != q * v:
+                            target[k] = x - q * v
+                        else:
+                            del target[k]
+                            cols[k].remove(r)
+                hit.clear()
+                row[j] = u
+            pivots.append((j, row))
+        if len(left) == len(active):
+            return pivots, [a[i] for i in left]
+
+
+def reference_smith(m: IntegerMatrix):
+    """smith_normal_form with the unit pivots taken in index order."""
+    with mock.patch.object(linalg, "_unit_pivots", reference_unit_pivots):
+        return smith_normal_form(m)
+
+
+def kernel_set(sd, p: int) -> set[tuple[int, ...]]:
+    kernel = prime_kernel(sd, p)
     vectors = list(kernel.vectors())
     assert len(vectors) == len(set(vectors)) == kernel.count()  # the basis is independent
     return set(vectors)
@@ -86,6 +143,34 @@ def test_pivot_rule():
     sd = smith_normal_form(IntegerMatrix.from_rows([[2, 3, 0], [1, 1, 0], [0, 0, 5]]))
     assert sd.pivots == ((0, {0: 1, 1: 1}), (1, {1: 1}))
     assert sd.rest == ({2: 5},) and sd.invariant_factors == (1, 1, 5)
+    # the bound starts at 1, row 1's length: the first pass pivots nothing,
+    # and the bound rises to 2, row 2's; row 0 waits, as it holds 3
+    # nonzeros, while row 2 pivots in column 1 and leaves row 0 with
+    # {0: -5, 2: 1} and row 1 with {0: -12}; row 0 pivots in the third
+    # pass, in column 2, and row 1 is left
+    m = IntegerMatrix.from_rows([[1, 2, 1], [0, 4, 0], [3, 1, 0]])
+    sd = smith_normal_form(m)
+    assert sd.pivots == ((1, {0: 3, 1: 1}), (2, {0: -5, 2: 1}))
+    assert sd.rest == ({0: -12},) and sd.invariant_factors == (1, 1, 12)
+    # in index order row 0 pivots first, in column 2, where it is alone
+    ref = reference_smith(m)
+    assert ref.pivots == ((2, {0: 1, 1: 2, 2: 1}), (1, {0: 3, 1: 1}))
+    assert ref.rest == sd.rest and ref.invariant_factors == sd.invariant_factors
+
+
+def assert_no_unit_left(sd):
+    assert not any(abs(v) == 1 for row in sd.rest for v in row.values())
+
+
+@pytest.mark.parametrize("name", DIAGRAMS)
+def test_pivot_orders_agree(name):
+    m = coloring_matrix(DIAGRAMS[name])
+    sd, ref = smith_normal_form(m), reference_smith(m)
+    assert sd.invariant_factors == ref.invariant_factors
+    assert_no_unit_left(sd)
+    assert_no_unit_left(ref)
+    for p in PRIMES:
+        assert kernel_set(sd, p) == kernel_set(ref, p), p
 
 
 def test_grown_variants_reach_600_crossings():
@@ -97,7 +182,7 @@ def test_prime_kernel_lists_the_colorings(name):
     d = DIAGRAMS[name]
     pr = profile(d)
     for p in PRIMES:
-        got = kernel_set(coloring_matrix(d), p)
+        got = kernel_set(smith_normal_form(coloring_matrix(d)), p)
         assert got == {c.values for c in pr.colorings(p)}, p
         assert got == {c.values for c in pr.prime_colorings(p)}, p
         if p ** d.n_arcs <= 10 ** 6:
@@ -191,7 +276,7 @@ def test_prime_kernel_against_all_of_fp_n():
             m = random_matrix(rng, rng.randint(0, 5), cols, values)
             every = {x for x in itertools.product(range(p), repeat=cols)
                      if all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in m.entries)}
-            assert kernel_set(m, p) == every, (p, m)
+            assert kernel_set(smith_normal_form(m), p) == every, (p, m)
             checked += 1
     assert checked == 1000
 
@@ -242,6 +327,18 @@ class TestFactorsProperty:
         assert sd.invariant_factors == reference_factors(m) == (0,) * 0
         assert smith_check(m, sd.c, sd.invariant_factors)
         assert prime_kernel(sd, 3).count() == 3 ** cols
+
+
+class TestPivotOrdersProperty:
+    @settings(deadline=None, max_examples=150)
+    @given(matrices(max_dim=5, max_entry=9))
+    def test_same_factors_and_kernels(self, m):
+        sd, ref = smith_normal_form(m), reference_smith(m)
+        assert sd.invariant_factors == ref.invariant_factors
+        assert_no_unit_left(sd)
+        assert_no_unit_left(ref)
+        for p in (2, 3, 5):
+            assert kernel_set(sd, p) == kernel_set(ref, p), p
 
 
 def test_seeded_factorizations():
