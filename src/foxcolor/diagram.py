@@ -15,15 +15,15 @@ ascending pass), and each crossing contributes the relation
 The crossing-free unknot cannot be written as a PD code; it is admitted
 through the special token "unknot" and carries a single arc.
 
-Reidemeister moves rewrite PD codes (apply_move_pd): each move
-renumbers and validates its result.  The renumbering (_renumber) walks
-label ranks taken from the same slot sort, and hands the slot pairing
-to the new code's check, which still checks the labels, traces the
-faces and checks the genus.  A PdCode keeps the faces its
-planarity check traced, so choosing a move site and applying the move
-read them without tracing again.  A PlanarDiagram (arcs and relations)
-is built only where it is read: apply_move builds one per move,
-random_variants one per variant.
+Reidemeister moves rewrite PD codes (apply_move_pd) and renumber the
+result (_renumber) by label ranks from the same slot sort, the move's
+only label check.  A move that keeps every slot in place (insertions,
+R3) re-traces only the faces through slots whose mate changed and
+carries over its input's component count; the genus check reads these
+counts.  A PdCode keeps its faces, so choosing a move site reads them
+without tracing again.  A PlanarDiagram (arcs and relations) is built
+only where it is read: apply_move builds one per move, random_variants
+one per variant.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, compress, count
+from operator import ne
 
 UNKNOT_TOKEN = "unknot"
 
@@ -65,8 +66,8 @@ def _is_label(e) -> bool:
 class PdCode:
     """Validated PD code; labels are 1..E with every label used exactly twice.
 
-    The slot permutation and faces traced by the planarity check stay on
-    the code as cached properties; they take no part in equality or hashing.
+    The slot permutation, faces and component count that the planarity
+    check reads are cached properties, outside equality and hashing.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
@@ -89,7 +90,7 @@ class PdCode:
         self._check_planar()
 
     def _check_planar(self):
-        genus = _genus(self.mates, self.faces)
+        genus = _genus(self.mates, self.faces, self.components)
         if genus:
             raise PdError(f"no planar diagram has this PD code: it needs a surface "
                           f"of genus {genus}")
@@ -104,6 +105,11 @@ class PdCode:
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Faces of the diagram as slot cycles, as traced by _faces."""
         return _faces(self.mates)
+
+    @cached_property
+    def components(self) -> int:
+        """Connected components of the crossing graph, as counted by _components."""
+        return _components(self.mates)
 
     @property
     def n_crossings(self) -> int:
@@ -125,20 +131,15 @@ class PdCode:
         return "[" + ",".join("[" + ",".join(map(str, q)) + "]" for q in self.crossings) + "]"
 
 
-def _code(crossings, mates, labels_checked=False) -> PdCode:
-    """PdCode(crossings) from a caller that has paired its slots already.
-
-    mates, that pairing, seeds the cached property, so the face trace and
-    the genus check read it without a _mates pass; labels_checked skips
-    only the label checks, which the caller made on these labels.
+def _code(crossings, mates, **known) -> PdCode:
+    """PdCode(crossings) from a caller that has checked its labels and
+    paired its slots; only the planarity check runs.  mates, and whatever
+    else the caller knows (faces, components), seed the cached properties.
     """
     pd = object.__new__(PdCode)
     object.__setattr__(pd, "crossings", crossings)
-    vars(pd)["mates"] = mates
-    if labels_checked:
-        pd._check_planar()
-    else:
-        pd.__post_init__()
+    vars(pd).update(known, mates=mates)
+    pd._check_planar()
     return pd
 
 
@@ -193,10 +194,16 @@ def _faces(mate) -> tuple[tuple[int, ...], ...]:
     cycles of that permutation of slots.  Faces come in order of their
     least slot, each starting there.
     """
-    step = [t + 1 if t % 4 != 3 else t - 3 for t in mate]
+    return tuple(_trace(mate, range(len(mate))))
+
+
+def _trace(mate, starts) -> list[tuple[int, ...]]:
+    """The faces through the slots of starts, as _faces traces them, each
+    starting at the first of starts on it (with starts ascending, at its
+    least slot)."""
     seen = [False] * len(mate)
     faces = []
-    for start in range(len(mate)):
+    for start in starts:
         if seen[start]:
             continue
         face = []
@@ -204,18 +211,26 @@ def _faces(mate) -> tuple[tuple[int, ...], ...]:
         while not seen[s]:
             seen[s] = True
             face.append(s)
-            s = step[s]
+            t = mate[s]
+            s = t + 1 if t % 4 != 3 else t - 3
         faces.append(tuple(face))
-    return tuple(faces)
+    return faces
 
 
-def _genus(mate, faces) -> int:
+def _genus(mate, faces, components=None) -> int:
     """Total genus of the surfaces the PD code's crossing graph embeds in.
 
     Each connected component has V - E + F = 2 - 2g with E = 2V, so the
     genera sum to (2k - F + V) / 2 over k components, and the code is
-    planar exactly when that sum is 0.
+    planar exactly when that sum is 0.  _components counts k unless given.
     """
+    if components is None:
+        components = _components(mate)
+    return (2 * components - len(faces) + len(mate) // 4) // 2
+
+
+def _components(mate) -> int:
+    """Connected components of the crossing graph, by a depth-first search."""
     n_crossings = len(mate) // 4
     neighbor = [t // 4 for t in mate]
     reached = [False] * n_crossings
@@ -232,7 +247,7 @@ def _genus(mate, faces) -> int:
                 if not reached[n]:
                     reached[n] = True
                     stack.append(n)
-    return (2 * components - len(faces) + n_crossings) // 2
+    return components
 
 
 def parse_pd(text: str) -> PdCode:
@@ -266,7 +281,7 @@ def parse_pd(text: str) -> PdCode:
         relabel = dict(zip(labels, count(1)))
         flat = map(relabel.__getitem__, flat)
         quads = zip(flat, flat, flat, flat)
-    return _code(tuple(quads), mates, labels_checked=True)
+    return _code(tuple(quads), mates)
 
 
 @dataclass(frozen=True)
@@ -364,8 +379,28 @@ def apply_move(d: PlanarDiagram, site: MoveSite) -> PlanarDiagram:
 
 def apply_move_pd(pd: PdCode, site: MoveSite) -> PdCode:
     """apply_move on the code alone: the move, renumbering and validation,
-    without building the diagram."""
-    return _code(*_renumber(_MOVE_HANDLERS[site.kind](pd, site)))
+    without building the diagram.
+
+    A result with no fewer crossings keeps pd's slots in place.  A face of
+    pd whose slots all kept their mates is still a face, and every other
+    face holds a slot that changed or is new.  pd's component count carries
+    over, since an insertion joins only slots of one face.
+    """
+    if site.over and site.kind != R1_INSERT:
+        raise MoveError(f"only {R1_INSERT} takes 'over', not {site.kind}")
+    most = 2 if site.kind == R2_INSERT else 1
+    if len(site.edges) > most:
+        raise MoveError(f"{site.kind} takes {most} edge{'s' * (most > 1)}, not {len(site.edges)}")
+    crossings, mates = _renumber(_MOVE_HANDLERS[site.kind](pd, site))
+    if not pd.crossings or len(crossings) < len(pd.crossings):
+        return _code(crossings, mates)
+    changed = set(compress(count(), map(ne, pd.mates, mates)))
+    changed.update(range(len(pd.mates), len(mates)))
+    faces = list(filter(changed.isdisjoint, pd.faces))
+    for face in _trace(mates, changed):  # each turned to start at its least slot
+        least = face.index(min(face))
+        faces.append(face[least:] + face[:least])
+    return _code(crossings, mates, faces=tuple(sorted(faces)), components=pd.components)
 
 
 def _occurrences(quads, edge):
@@ -385,14 +420,15 @@ def _r1_insert(pd: PdCode, site: MoveSite):
         return [(2, 1, 1, 2)] if site.over else [(1, 2, 2, 1)]
     e = site.edges[0]
     _require_edge(pd, e)
-    quads = [list(q) for q in pd.crossings]
-    occ = _occurrences(quads, e)
-    ci, slot = occ[1]  # kink sits at the second occurrence; the first keeps label e
+    s = list(chain.from_iterable(pd.crossings)).index(e)
+    # the kink sits at the second slot of e; the first keeps label e
+    ci, slot = divmod(max(s, pd.mates[s]), 4)
     f = pd.n_edges + 1
     g = pd.n_edges + 2
-    quads[ci][slot] = f
-    quads.append([g, e, f, g] if site.over else [e, g, g, f])
-    return [tuple(q) for q in quads]
+    quads = list(pd.crossings)
+    quads[ci] = quads[ci][:slot] + (f,) + quads[ci][slot + 1:]
+    quads.append((g, e, f, g) if site.over else (e, g, g, f))
+    return quads
 
 
 def _kink_slots(q, loop_edge):
@@ -684,11 +720,10 @@ def random_move_site_pd(pd: PdCode, rng: random.Random) -> MoveSite:
 
     Reads the faces the code cached when its planarity was checked.
     """
-    edges = list(pd.edges())
-    if len(edges) < 2:
+    if pd.n_edges < 2:
         return MoveSite(R1_INSERT, (1,), over=rng.random() < 0.5)
     if rng.random() < 0.5:
-        return MoveSite(R1_INSERT, (rng.choice(edges),), over=rng.random() < 0.5)
+        return MoveSite(R1_INSERT, (rng.choice(pd.edges()),), over=rng.random() < 0.5)
     # the filter is that of the faces' label sets: a label sits on a slot
     # and its mate, and the slot after s in its face is neither s nor mate[s]
     quads = pd.crossings

@@ -2,7 +2,9 @@
 
 Counters wrap the builders: groups and their bytes.translate tables once per
 prime, and only for a prime with non-trivial colorings, faces and the
-slot pairing once per PD code, one diagram per variant, one Smith form
+slot pairing at most once per PD code (a move that keeps its input's
+slots traces no faces in full and counts no labels), one diagram per
+variant, one Smith form
 per profile however often generating_arcs and extend_coloring read it,
 and the reference Smith elimination only where a verb lists colorings
 in its order.
@@ -78,23 +80,35 @@ def test_groups_only_at_primes_with_colorings(monkeypatch):
 
 
 def test_faces_once_per_code(monkeypatch):
-    faces_calls = []
-    codes = []
-    faces, post_init = dia._faces, PdCode.__post_init__
+    # insertions update their input's faces and carry its component count:
+    # no full face trace and no component search; parse and deletions, whose
+    # slots shift, trace both once per code
+    calls = Counter()
+    for name in ("_faces", "_components"):
+        def counted(mate, _name=name, _real=getattr(dia, name)):
+            calls[_name] += 1
+            return _real(mate)
+        monkeypatch.setattr(dia, name, counted)
+    checks = []
+    check = PdCode._check_planar
 
-    def counted_faces(mate):
-        faces_calls.append(mate)
-        return faces(mate)
+    def counted_check(self):
+        checks.append(self)
+        check(self)
 
-    def counted_post_init(self):
-        codes.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(dia, "_faces", counted_faces)
-    monkeypatch.setattr(PdCode, "__post_init__", counted_post_init)
-    random_variants(KNOT_9_40, 3, 7, seed=11)
-    assert len(codes) == 3 * 7
-    assert len(faces_calls) == len(codes)
+    monkeypatch.setattr(PdCode, "_check_planar", counted_check)
+    variants = random_variants(KNOT_9_40, 3, 7, seed=11)
+    assert len(checks) == 3 * 7
+    assert calls == {}
+    texts = [str(v.pd) for v in variants]
+    assert [parse_pd(t) for t in texts] == [v.pd for v in variants]
+    assert calls == {"_faces": len(texts), "_components": len(texts)}
+    calls.clear()
+    kinked = dia.apply_move_pd(variants[0].pd, dia.MoveSite(dia.R1_INSERT, (1,)))
+    assert calls == {}
+    loop = kinked.crossings[-1][1]  # the kink is appended: (e, loop, loop, f)
+    dia.apply_move_pd(kinked, dia.MoveSite(dia.R1_DELETE, (loop,)))
+    assert calls == {"_faces": 1, "_components": 1}
 
 
 def test_slots_paired_once_per_code(monkeypatch):
@@ -107,8 +121,8 @@ def test_slots_paired_once_per_code(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(dia, name, counted)
     variants = random_variants(KNOT_9_40, 3, 7, seed=11)
-    # each move result's labels are still counted by its PdCode check
-    assert calls == {"_sorted_slots": 3 * 7, "_label_counts": 3 * 7}
+    # _renumber's slot sort is a move result's only label check
+    assert calls == {"_sorted_slots": 3 * 7}
     codes = [v.pd for v in variants] + [catalog("3_1")]
     texts = [str(v.pd) for v in variants] + ["[[2,8,4,10],[6,12,8,2],[10,4,12,6]]"]
     calls.clear()

@@ -424,6 +424,20 @@ class TestMoves:
         assert code == 1
         assert "kink" in err
 
+    @pytest.mark.parametrize("target, site, message", [
+        ("3_1", "R1_insert:1:99", "R1_insert takes 1 edge, not 2"),
+        ("4_1", "R2_insert:1:4:7", "R2_insert takes 2 edges, not 3"),
+        ("4_1", "R2_insert:1:4:over", "only R1_insert takes 'over', not R2_insert"),
+        ("3_1", "R3:1:over", "only R1_insert takes 'over', not R3"),
+        ("3_1", "R1_insert", "R1_insert needs an edge"),
+        ("3_1", "R2_insert:1", "R2_insert needs (over_edge, under_edge)"),
+    ])
+    def test_site_with_what_its_kind_cannot_use_exit_1(self, capsys, target, site, message):
+        code, out, err = run(capsys, "moves", target, "--site", site)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
 
 class TestJsonRoundTrip:
     """Every verb's --json output is json.dumps(payload, indent=2, sort_keys=True)."""

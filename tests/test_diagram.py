@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foxcolor.diagram import (MOVE_KINDS, MoveError, MoveSite, PdCode, PdError, R1_INSERT,
-                              R2_INSERT, R3, _faces, _genus, _mates, apply_move, apply_move_pd,
-                              build_diagram, catalog, catalog_names, parse_pd,
-                              random_move_site_pd, random_variants)
+from foxcolor.diagram import (MOVE_KINDS, MoveError, MoveSite, PdCode, PdError, R1_DELETE,
+                              R1_INSERT, R2_DELETE, R2_INSERT, R3, _faces, _genus, _mates,
+                              apply_move, apply_move_pd, build_diagram, catalog, catalog_names,
+                              parse_pd, random_move_site_pd, random_variants)
 from foxcolor.coloring import profile
 
 TREFOIL = "[[1,4,2,5],[3,6,4,1],[5,2,6,3]]"
@@ -350,6 +350,26 @@ class TestMoveHygiene:
     def test_unknown_kind(self):
         with pytest.raises(MoveError):
             MoveSite("R4", (1,))
+
+    @pytest.mark.parametrize("site, message", [
+        (MoveSite(R1_INSERT, (1, 99)), "R1_insert takes 1 edge, not 2"),
+        (MoveSite(R1_DELETE, (1, 2)), "R1_delete takes 1 edge, not 2"),
+        (MoveSite(R2_INSERT, (1, 4, 2)), "R2_insert takes 2 edges, not 3"),
+        (MoveSite(R2_DELETE, (1, 2)), "R2_delete takes 1 edge, not 2"),
+        (MoveSite(R3, (1, 2)), "R3 takes 1 edge, not 2"),
+        (MoveSite(R2_INSERT, (1, 4), over=True), "only R1_insert takes 'over', not R2_insert"),
+        (MoveSite(R1_DELETE, (1,), over=True), "only R1_insert takes 'over', not R1_delete"),
+        (MoveSite(R1_INSERT, ()), "R1_insert needs an edge"),
+        (MoveSite(R1_DELETE, ()), "R1_delete needs the loop edge"),
+        (MoveSite(R2_INSERT, (1,)), "R2_insert needs (over_edge, under_edge)"),
+        (MoveSite(R2_DELETE, ()), "R2_delete needs the over middle edge"),
+        (MoveSite(R3, ()), "R3 needs the middle edge of the sliding strand"),
+    ])
+    def test_site_with_what_its_kind_cannot_use(self, site, message):
+        # (1, 4) are two edges of a face of the figure-eight
+        with pytest.raises(MoveError) as info:
+            apply_move_pd(catalog("4_1"), site)
+        assert str(info.value) == message
 
     def test_labels_stay_normalized(self):
         d = build_diagram(catalog("4_1"))

@@ -9,7 +9,8 @@ generator, and codes labelled from 0 or from negative numbers, the new
 code must give the same codes, arcs, relations, canonical labels and
 matrices, and parse_pd the same error messages.  The slot pairing that
 _renumber hands to the moved code's check must be _mates of the result,
-on every move kind.
+on every move kind; the faces and component count a move updates or
+carries over must equal a full trace of the result, which must be planar.
 """
 
 import json
@@ -24,7 +25,8 @@ import pytest
 from foxcolor.coloring import coloring_matrix
 from foxcolor.diagram import (_MOVE_HANDLERS, MOVE_KINDS, R1_DELETE, R1_INSERT, R2_DELETE,
                               R2_INSERT, R3, MoveError, MoveSite, PdCode, PdError, PlanarDiagram,
-                              _faces, _is_label, _label_counts, _mates, _renumber, apply_move_pd,
+                              _components, _faces, _genus, _is_label, _label_counts, _mates,
+                              _renumber, apply_move_pd,
                               build_diagram, catalog, catalog_names, parse_pd,
                               random_move_site_pd, random_variants)
 from foxcolor.linalg import IntegerMatrix
@@ -213,14 +215,18 @@ def test_kink_rows():
 
 
 def checked_move(pd: PdCode, site: MoveSite) -> PdCode:
-    """apply_move_pd, its renumbering against the reference and the slot
-    pairing it carried against _mates and _faces of the result."""
+    """apply_move_pd, its renumbering against the reference, the slot
+    pairing, faces and component count it carried against _mates, _faces
+    and _components of the result, and a full genus trace of the result."""
     raw = _MOVE_HANDLERS[site.kind](pd, site)
     crossings, mates = _renumber(raw)
     assert crossings == reference_renumber(raw)
     moved = apply_move_pd(pd, site)
     assert moved.crossings == crossings and moved.mates == mates
-    assert mates == _mates(crossings) and moved.faces == _faces(_mates(crossings))
+    fresh = _mates(crossings)
+    assert mates == fresh and moved.faces == _faces(fresh)
+    assert moved.components == _components(fresh)
+    assert _genus(fresh, _faces(fresh)) == 0
     return moved
 
 
@@ -254,13 +260,24 @@ def every_site(pd: PdCode):
         yield from (MoveSite(R2_INSERT, pair) for pair in permutations(labels, 2))
 
 
+# two disjoint trefoils: a split code of two components
+SPLIT = PdCode(((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3),
+                (7, 10, 8, 11), (9, 12, 10, 7), (11, 8, 12, 9)))
+
+
 def test_every_move_kind_carries_its_mates():
     codes = [PdCode(()), *(catalog(name) for name in ("3_1", "4_1", "6_2"))]
     kinked = apply_move_pd(PdCode(()), MoveSite(R1_INSERT, (1,)))
     codes += [kinked, apply_move_pd(kinked, MoveSite(R1_INSERT, (2,), over=True))]
     codes += [v.pd for v in random_variants(build_diagram(catalog("5_2")), 2, 3, seed=1306)]
     codes += [pushed for pushed, _, _ in constructed_r3_sites(catalog("4_1"))[:2]]
+    # the split code, kinked, and pushed at a triangle, so that insertions,
+    # deletions and R3 all run with two components
+    split_kinked = apply_move_pd(SPLIT, MoveSite(R1_INSERT, (1,)))
+    codes += [SPLIT, split_kinked]
+    codes += [pushed for pushed, _, _ in constructed_r3_sites(split_kinked)[:2]]
     applied = dict.fromkeys(MOVE_KINDS, 0)
+    split_applied = set()
     for pd in codes:
         for site in every_site(pd):
             try:
@@ -270,7 +287,10 @@ def test_every_move_kind_carries_its_mates():
             applied[site.kind] += 1
             if not moved.crossings:
                 applied["to the unknot"] = applied.get("to the unknot", 0) + 1
+            if pd.components > 1:
+                split_applied.add(site.kind)
     assert all(applied.values()) and len(applied) == len(MOVE_KINDS) + 1, applied
+    assert SPLIT.components == 2 and split_applied == set(MOVE_KINDS)
 
 
 def test_a_200_move_chain_of_9_40_carries_its_mates():
@@ -278,6 +298,22 @@ def test_a_200_move_chain_of_9_40_carries_its_mates():
     for _ in range(200):
         pd = checked_move(pd, random_move_site_pd(pd, rng))
     assert pd.n_crossings > 200
+
+
+@pytest.mark.parametrize("raw", [
+    # a kink whose loop edge joins opposite slots of its crossing
+    [(1, 4, 2, 5), (3, 6, 4, 7), (5, 2, 6, 3), (1, 8, 7, 8)],
+    # the first crossing of the trefoil rewired in place, as R3 rewrites
+    [(1, 2, 4, 5), (3, 6, 4, 1), (5, 2, 6, 3)],
+])
+def test_a_slot_keeping_move_to_a_non_planar_code_raises(monkeypatch, raw):
+    # the result keeps every slot of the trefoil, so its faces are updated and
+    # its component count carried over; the genus check must still see genus 1
+    monkeypatch.setitem(_MOVE_HANDLERS, R1_INSERT, lambda pd, site: list(raw))
+    with pytest.raises(PdError, match="needs a surface of genus 1"):
+        apply_move_pd(catalog("3_1"), MoveSite(R1_INSERT, (1,)))
+    crossings, mates = _renumber(raw)
+    assert _genus(mates, _faces(mates)) == 1
 
 
 @pytest.mark.parametrize("raw", [
