@@ -4,11 +4,17 @@ Verbs: analyze, classes, enumerate, verify, catalog, moves.  Targets are
 catalog names, literal PD codes, @file, or "-" for stdin.  Every verb
 takes --json for machine-readable output; exit codes are 0 success,
 1 input error, 2 enumeration budget exceeded, 3 verification failure.
+
+main runs a verb with the cyclic garbage collector paused and restores
+its state on every exit: no verb builds a reference cycle, so a
+collection would free nothing and only rescan the colorings that trip
+its threshold.  The parser's own cycles are made before the pause.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from functools import cache
@@ -34,11 +40,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
+class _IntText(dict):
+    """Each int's text, built on first lookup."""
+
+    def __missing__(self, v):
+        self[v] = text = int.__repr__(v)
+        return text
+
+
 def _int_rows(rows, indent: str):
     """The text between the brackets of each row of plain ints, at this indent:
-    one join per row, in C, of strings built once per distinct value."""
-    text = {v: int.__repr__(v) for v in set(chain.from_iterable(rows))}
-    return map((",\n" + indent).join, map(map, repeat(text.__getitem__), rows))
+    one join per row, in C, of strings built on first lookup."""
+    return map((",\n" + indent).join, map(map, repeat(_IntText().__getitem__), rows))
 
 
 class _IntRows(list):
@@ -58,7 +71,8 @@ def _record_bodies(obj, indent: str):
     Records are non-empty dicts that share one key set, each value a
     plain int or a non-empty list or tuple of plain ints (the orbits
     classes lists).  Each body is one join of a column at a time: keys'
-    text, ints' strings built once per distinct value, or _int_rows.
+    text, ints' strings built once per distinct value, or _int_rows,
+    whose strings are built on first lookup.
     """
     keys = obj[0].keys()
     if not keys or not all(map(keys.__eq__, map(dict.keys, obj))):
@@ -404,12 +418,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except col.EnumerationBudgetError as exc:
         return _fail(str(exc), EXIT_BUDGET)
     except (dia.PdError, dia.MoveError, KeyError, ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

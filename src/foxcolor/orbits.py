@@ -61,13 +61,16 @@ class GroupSpec:
     def byte_tables(self) -> tuple[bytes, ...]:
         """For m <= 256, each element as a bytes.translate table, lam
         ascending, then mu: entry x is (lam*x + mu) % m for every byte x,
-        so the first m entries are the permutation.  Built in C, one
-        multiplication table per lam, then one translate of it per mu; on
-        first use, and no part of equality or hashing."""
+        so the first m entries are the permutation.  Built in C: each mu
+        table is a slice of 0..m-1 repeated, each lam table its first m
+        entries repeated, and each element one translate of a lam table
+        by a mu table; on first use, and no part of equality or hashing."""
         m = self.modulus
-        adds = [bytes(map(mod, range(u, u + 256), repeat(m))) for u in self.mus]
+        cycle = bytes(range(m)) * (512 // m + 1)
+        adds = [cycle[u:u + 256] for u in self.mus]
+        copies = 256 // m + 1
         return tuple(chain.from_iterable(
-            map(bytes(map(mod, range(0, 256 * l, l), repeat(m))).translate, adds)
+            map((bytes(map(mod, range(0, m * l, l), repeat(m))) * copies)[:256].translate, adds)
             for l in self.lams))
 
 

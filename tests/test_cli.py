@@ -1,4 +1,7 @@
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -530,6 +533,81 @@ class TestJsonWriter:
         walk = enumerate_colorings(build_diagram(catalog("4_1")), 5)
         assert json.loads(out)["colorings"] == [list(c.values) for c in walk]
         assert len(walk) == 25
+
+
+class TestCollectorPause:
+    """main runs a verb with the cyclic collector paused and leaves it as it found it."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["analyze", "3_1", "--mod", "3"], 0),
+        (["analyze", "[[1,2,3]]"], 1),
+        (["classes", "no_such_knot", "--mod", "3"], 1),
+        (["classes", "9_40", "--mod", "5", "--budget", "10"], 2),
+    ])
+    def test_enabled_state_restored(self, capsys, argv, expected):
+        assert gc.isenabled()
+        assert main(argv) == expected
+        assert gc.isenabled()
+
+    def test_enabled_state_restored_after_usage_error(self, capsys):
+        assert gc.isenabled()
+        with pytest.raises(SystemExit) as exc:
+            main(["classes", "9_40", "--mod", "5", "--group", "sym"])
+        assert exc.value.code == 1
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["analyze", "3_1", "--mod", "3"], 0),
+        (["analyze", "[[1,2,3]]"], 1),
+    ])
+    def test_disabled_state_kept(self, capsys, argv, expected):
+        gc.disable()
+        try:
+            assert main(argv) == expected
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_verb_runs_paused(self, capsys, monkeypatch):
+        seen = []
+
+        def recording_catalog(args):
+            seen.append(gc.isenabled())
+            return cli.EXIT_OK
+
+        # the cached parser holds the verbs it was built with
+        monkeypatch.setattr(cli, "cmd_catalog", recording_catalog)
+        cli.build_parser.cache_clear()
+        try:
+            assert main(["catalog"]) == 0
+        finally:
+            cli.build_parser.cache_clear()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["analyze", "9_40", "--mod", "5", "--json"], 0),
+        (["classes", "9_40", "--mod", "5"], 0),
+        (["classes", "9_40", "--mod", "300", "--json"], 0),
+        (["enumerate", "6_1", "--mod", "9", "--all", "--json"], 0),
+        (["verify", "4_1", "--primes", "3,5,7", "--moves", "2", "--seed", "7", "--json"], 0),
+        (["moves", "9_40", "--random", "50", "--seed", "7", "--json"], 0),
+        (["catalog", "--json"], 0),
+        (["analyze", "[[1,2,3]]"], 1),
+        (["classes", "no_such_knot", "--mod", "3"], 1),
+        (["classes", "9_40", "--mod", "5", "--budget", "10"], 2),
+    ])
+    def test_no_cyclic_garbage(self, argv, expected):
+        # with the collector paused, a cycle a verb built would be held
+        # until the next collection; no verb may build one
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            main(["catalog"])  # builds the parser, whose cycles are not a verb's
+        gc.collect()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(argv)
+        assert gc.collect() == 0
+        assert code == expected
 
 
 @pytest.mark.parametrize("argv", list(UNKNOT_SHA256))
