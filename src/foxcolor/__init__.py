@@ -6,7 +6,7 @@ from .diagram import (MoveError, MoveSite, PdCode, PdError, PlanarDiagram,
                       apply_move, build_diagram, catalog, catalog_names,
                       parse_pd, random_variants)
 from .linalg import (IntegerMatrix, ModularKernel, SmithDecomposition,
-                     prime_kernel, smith_normal_form, solve_mod)
+                     smith_normal_form, solve_mod, unit_kernel)
 from .coloring import (Coloring, ColoringProfile, EnumerationBudgetError,
                        coloring_matrix, count_colorings, enumerate_colorings,
                        extend_coloring, generating_arcs, link_determinant,
@@ -26,7 +26,7 @@ __all__ = [
     "coloring_matrix", "count_colorings",
     "enumerate_colorings", "extend_coloring", "generating_arcs",
     "link_determinant", "orbit_partition", "parse_pd",
-    "p_nullity", "predicted_class_count", "prime_classes", "prime_kernel", "profile",
+    "p_nullity", "predicted_class_count", "prime_classes", "profile",
     "random_variants",
-    "smith_normal_form", "solve_mod", "verify_counts",
+    "smith_normal_form", "solve_mod", "unit_kernel", "verify_counts",
 ]

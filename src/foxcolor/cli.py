@@ -59,6 +59,10 @@ class _IntRows(list):
     writer takes as such without scanning the type of every entry."""
 
 
+class _IntRecords(list):
+    """Records of an orbit partition, whose representatives are not scanned."""
+
+
 def _are_int_rows(rows) -> bool:
     """Whether every item is a non-empty list or tuple of plain ints."""
     return (set(map(type, rows)) <= {list, tuple} and all(rows)
@@ -70,9 +74,9 @@ def _record_bodies(obj, indent: str):
 
     Records are non-empty dicts that share one key set, each value a
     plain int or a non-empty list or tuple of plain ints (the orbits
-    classes lists).  Each body is one join of a column at a time: keys'
-    text, ints' strings built once per distinct value, or _int_rows,
-    whose strings are built on first lookup.
+    classes lists, an _IntRecords).  Each body is one join of a column at
+    a time: keys' text, ints' strings built once per distinct value, or
+    _int_rows, whose strings are built on first lookup.
     """
     keys = obj[0].keys()
     if not keys or not all(map(keys.__eq__, map(dict.keys, obj))):
@@ -87,7 +91,7 @@ def _record_bodies(obj, indent: str):
         if set(map(type, values)) == {int}:
             text = {v: head + int.__repr__(v) for v in set(values)}
             columns.append(map(text.__getitem__, values))
-        elif _are_int_rows(values):
+        elif type(obj) is _IntRecords or _are_int_rows(values):
             columns += (repeat(head + "[\n" + deeper), _int_rows(values, deeper),
                         repeat("\n" + indent + "]"))
         else:
@@ -129,10 +133,10 @@ def _json_parts(obj, out: list, indent: str) -> None:
                     "\n" + indent + "]")
             return
         bodies = None
-        if trusted or _are_int_rows(obj):
-            start, end, bodies = "[", "]", _int_rows(obj, deeper)
-        elif types == {dict}:
+        if types == {dict}:
             start, end, bodies = "{", "}", _record_bodies(obj, deeper)
+        elif trusted or _are_int_rows(obj):
+            start, end, bodies = "[", "]", _int_rows(obj, deeper)
         if bodies is not None:
             out += ("[\n" + inner + start + "\n" + deeper,
                     ("\n" + inner + end + ",\n" + inner + start + "\n" + deeper).join(bodies),
@@ -251,7 +255,7 @@ def cmd_classes(args) -> int:
         "group": group.kind,
         "nontrivial": len(nontrivial),
         "class_count": part.class_count,
-        "orbits": [{"size": size, "representative": rep} for rep, size in part.orbits],
+        "orbits": _IntRecords({"size": size, "representative": rep} for rep, size in part.orbits),
     }
     if args.json:
         _emit_json(payload)

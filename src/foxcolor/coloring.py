@@ -16,12 +16,12 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import filterfalse, repeat
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .diagram import PlanarDiagram
-from .linalg import (IntegerMatrix, SmithDecomposition, _rref_mod_p, prime_kernel,
-                     smith_normal_form, solve_mod)
+from .linalg import (IntegerMatrix, SmithDecomposition, _rref_mod_p, smith_normal_form,
+                     solve_mod, unit_kernel)
 
 ENUMERATION_BUDGET = 10 ** 6
 
@@ -76,7 +76,7 @@ class ColoringProfile:
         otherwise the constants are dropped as the walk yields them, by
         lookup in the set of the m constant vectors.  The budget check
         comes first either way.  The reference elimination of the matrix
-        runs on the first call, as the walk reads the transform c.  The
+        runs on the first call, for the columns of c the walk turns.  The
         list is built by _colorings, with no interpreter step per coloring.
         """
         return self._walk(solve_mod, m, nontrivial_only, budget)
@@ -85,13 +85,13 @@ class ColoringProfile:
                         budget: int = ENUMERATION_BUDGET) -> list[Coloring]:
         """The colorings of colorings(p), for an odd prime p, in another order.
 
-        The walk runs over the F_p kernel basis of prime_kernel, so no
-        reference elimination runs; the budget check, the skipped walk
-        and the constant filter are those of colorings().
+        The walk runs over the kernel of unit_kernel, so no reference
+        elimination of the whole matrix runs; the budget check, the
+        skipped walk and the constant filter are those of colorings().
         """
         if not is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
-        return self._walk(prime_kernel, p, nontrivial_only, budget)
+        return self._walk(unit_kernel, p, nontrivial_only, budget)
 
     def _walk(self, kernel, m: int, nontrivial_only: bool, budget: int) -> list[Coloring]:
         total = count_colorings(self.smith, m)
@@ -154,13 +154,7 @@ def link_determinant(sd: SmithDecomposition) -> int:
     zeros = sum(1 for f in factors if f == 0)
     if zeros == 0:
         raise ValueError("no zero invariant factor: not a coloring matrix decomposition")
-    if zeros >= 2:
-        return 0
-    det = 1
-    for f in factors:
-        if f:
-            det *= f
-    return det
+    return 0 if zeros >= 2 else prod(filter(None, factors))
 
 
 def is_odd_prime(p: int) -> bool:
@@ -215,10 +209,7 @@ def count_colorings(sd: SmithDecomposition, m: int) -> int:
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    total = 1
-    for f in sd.padded_factors():
-        total *= gcd(f, m)
-    return total
+    return prod(map(gcd, sd.padded_factors(), repeat(m)))
 
 
 def enumerate_colorings(d: PlanarDiagram, m: int, nontrivial_only: bool = False,
@@ -232,7 +223,7 @@ def _generators(d: PlanarDiagram | ColoringProfile, p: int) -> dict[int, list[in
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     sd = (d if isinstance(d, ColoringProfile) else profile(d)).smith
-    basis = zip(*prime_kernel(sd, p).transform.entries)
+    basis = zip(*unit_kernel(sd, p).transform.entries)
     lead, rows = _rref_mod_p([x[::-1] for x in basis], p)
     return {sd.shape[1] - 1 - j: row[::-1] for j, row in zip(lead, rows)}
 
@@ -243,7 +234,7 @@ def generating_arcs(d: PlanarDiagram | ColoringProfile, p: int) -> frozenset[int
     They are the non-pivot columns of the coloring matrix reduced mod p,
     as many as the p-nullity.  Column j depends on the columns before it
     exactly when some p-coloring has its last nonzero value at arc j, so
-    they are read off the F_p kernel basis of prime_kernel: each vector
+    they are read off the kernel basis of unit_kernel at p: each vector
     reversed, in reduced echelon form, has pivots n-1-j at just those j.
     Given the diagram's profile in place of the diagram, no Smith form
     is computed.

@@ -8,26 +8,23 @@ Two eliminations serve the Smith form, both on sparse storage: rows are
 {col: value} dicts and a per-column set of nonzero rows finds the rows
 an operation touches.
 
-The unit-pivot elimination gives the invariant factors and the F_p
-kernels.  Pass after pass, a row that holds a +-1 entry pivots on it, in
-the column with the fewest nonzeros, clears that column from the other
-rows and leaves the matrix with one invariant factor 1.  A pass takes
-only the shortest rows, in index order, and the bound on their length
-rises only when a pass pivots on none (Markowitz's rule of sparsest
-pivots first), so fill-in grows few rows.  Coloring matrices have three
-nonzeros per row and almost all invariant factors 1, so what is left
-without a unit is a small block, which the reference elimination
-diagonalizes.  The same pivots give a basis of the kernel mod a prime p
-(prime_kernel): the reduced echelon form mod p of the block left,
-back-substituted through the pivot rows in reverse order.  Invariant
-factors, determinants, nullities, counts and prime kernels never run
-more.
+The unit-pivot elimination gives the invariant factors.  Pass after
+pass, a row that holds a +-1 entry pivots on it, in the column with the
+fewest nonzeros, clears that column from the other rows and leaves the
+matrix with one invariant factor 1.  A pass takes only the shortest
+rows, in index order, and the bound on their length rises only when a
+pass pivots on none (Markowitz's rule of sparsest pivots first), so
+fill-in grows few rows.  Coloring matrices have three nonzeros per row
+and almost all invariant factors 1, so what is left without a unit is a
+small block, which the reference elimination diagonalizes.  Invariant
+factors, determinants, nullities, counts and unit_kernel never run more.
 
 The reference elimination picks the nonzero of smallest absolute value,
-ties by lowest (row, col), and logs its column operations.  On the whole
-matrix it runs only when c is first read; its factors are then checked
-against the unit-pivot ones, and c is built from the log.  Its pivot
-rule and output, factors and c entry for entry, are those of dense
+ties by lowest (row, col), and logs its column operations; _columns
+reads a log back as the columns of its transform that a caller walks.
+On the whole matrix it runs only when its log is first needed, and its
+factors are then checked against the unit-pivot ones.  Its pivot rule
+and output, factors and transform c entry for entry, are those of dense
 elimination, which tests/test_snf_differential.py keeps as the
 reference, and c fixes the order in which solve_mod lists the kernel at
 any modulus.  The oracles the tests hold this module to, the minor-gcd
@@ -40,7 +37,7 @@ import itertools
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 
@@ -108,31 +105,33 @@ class SmithDecomposition:
     The matrix is kept as its shape and its rows' nonzeros (see
     IntegerMatrix.nonzeros); equality and hashing follow those alone.
     The invariant factors come from the unit-pivot elimination, and its
-    record stays here for prime_kernel: pivots lists (column, row) in
-    pivot order, each row as a {col: value} dict as it stood when it
-    pivoted, and rest the rows left without a unit.  c is built on first
-    read and cached: the reference elimination of the whole matrix runs,
-    raises RuntimeError if its factors differ, and its column operations
-    are replayed onto the identity, which gives the entries c would have
-    had if carried through the elimination.
+    record stays here for unit_kernel: pivots lists (column, row) in
+    pivot order, each row a {col: value} dict as it stood when it
+    pivoted, and block_ops logs the column operations on the block left
+    without a unit, its columns renumbered in order.  col_ops, the whole
+    matrix's log, and c are built on first read and cached; col_ops
+    raises RuntimeError if the reference elimination's factors differ.
     """
 
     shape: tuple[int, int]
     nonzeros: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
     invariant_factors: tuple[int, ...] = field(compare=False)
     pivots: tuple[tuple[int, dict[int, int]], ...] = field(compare=False, repr=False)
-    rest: tuple[dict[int, int], ...] = field(compare=False, repr=False)
+    block_ops: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @cached_property
-    def c(self) -> IntegerMatrix:
-        n = self.shape[1]
-        w = _Worker(self.nonzeros, n)
+    def col_ops(self) -> tuple[tuple[int, ...], ...]:
+        w = _Worker(self.nonzeros, self.shape[1])
         factors = _diagonalize(w)
         if factors != self.invariant_factors:
             raise RuntimeError(f"reference elimination gives invariant factors {factors}, "
                                f"unit pivots gave {self.invariant_factors}")
-        cols = (_dense(col, n) for col in _replay(n, w.col_ops))
-        return IntegerMatrix(n, n, tuple(zip(*cols)))
+        return tuple(w.col_ops)
+
+    @cached_property
+    def c(self) -> IntegerMatrix:
+        n = self.shape[1]
+        return IntegerMatrix(n, n, _columns(self.col_ops, n, range(n)))
 
     def padded_factors(self) -> tuple[int, ...]:
         """Invariant factors extended with zeros to one entry per column.
@@ -217,24 +216,27 @@ class _Worker:
             self.cols[k].discard(i)
 
 
-def _replay(n, ops):
-    """Apply a column-operation log to the n x n identity; returns its
-    columns as {index: value} dicts."""
-    vecs = [{i: 1} for i in range(n)]
-    for op in ops:
+def _columns(ops, n: int, cols) -> tuple[tuple[int, ...], ...]:
+    """Columns cols of the n x n transform logged in ops (see _Worker), as
+    its n rows cut to them.  Column f is the log applied in reverse to
+    e_f: a swap (i, j) swaps v_i and v_j, and (i, j, q) does v_j -= q * v_i.
+    Entry k of every column asked for is kept in one {position: value}
+    dict, so an operation costs a step only where entry i is nonzero."""
+    rows = [{} for _ in range(n)]
+    for t, f in enumerate(cols):
+        rows[f][t] = 1
+    for op in reversed(ops):
         if len(op) == 3:
             i, j, q = op
-            target = vecs[i]
-            for k, v in vecs[j].items():
-                x = target.get(k, 0) - q * v
-                if x:
-                    target[k] = x
-                else:
-                    del target[k]
+            target = rows[j]
+            for t, v in rows[i].items():
+                target[t] = x = target.get(t, 0) - q * v
+                if not x:
+                    del target[t]
         else:
             i, j = op
-            vecs[i], vecs[j] = vecs[j], vecs[i]
-    return vecs
+            rows[i], rows[j] = rows[j], rows[i]
+    return tuple(_dense(row, len(cols)) for row in rows)
 
 
 def _dense(entries, n):
@@ -269,17 +271,18 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     reference elimination diagonalizes the block left in the other
     columns, and its factors come last.  The factors are non-negative and
     each divides the next; being canonical, they do not depend on the
-    pivot order, which shows only in the pivot record.  c, and the
-    reference elimination of the whole matrix behind it, waits for its
-    first read (see SmithDecomposition), so callers that read only the
-    factors or prime kernels never pay for it.
+    pivot order, which shows only in the pivot record and the block's
+    log.  The reference elimination of the whole matrix waits for the
+    first read of its log (see SmithDecomposition), so callers that read
+    only the factors or unit kernels never pay for it.
     """
     pivots, rest = _unit_pivots(list(map(dict, m.nonzeros)), m.cols)
     done = {j for j, _ in pivots}
     index = {j: t for t, j in enumerate(j for j in range(m.cols) if j not in done)}
     block = _Worker([{index[j]: v for j, v in row.items()} for row in rest], len(index))
     factors = (1,) * len(pivots) + _diagonalize(block)
-    return SmithDecomposition((m.rows, m.cols), m.nonzeros, factors, tuple(pivots), tuple(rest))
+    return SmithDecomposition((m.rows, m.cols), m.nonzeros, factors, tuple(pivots),
+                              tuple(block.col_ops))
 
 
 def _unit_pivots(a, nc: int):
@@ -431,10 +434,11 @@ class ModularKernel:
     """Solutions of m @ x = 0 over Z/modZ as x = transform @ y (mod modulus),
     each y_i running over the multiples of steps[i], sizes[i] values.
 
-    From solve_mod the transform is c of the Smith form (see
-    SmithDecomposition) and step_i = mod // gcd(d_i, mod), column
-    positions beyond the diagonal behaving like zero factors.  From prime_kernel it is a basis of the
-    kernel over F_p, every step 1 and every size p.
+    solve_mod and unit_kernel list only the coordinates of size > 1, in
+    column order: a factor d gives gcd(d, mod) values of step
+    mod // gcd(d, mod), column positions past the diagonal acting as zero
+    factors.  The transform is the matching columns of c (solve_mod), or
+    of the block's transform carried through the pivot rows (unit_kernel).
     """
 
     modulus: int
@@ -443,10 +447,7 @@ class ModularKernel:
     transform: IntegerMatrix
 
     def count(self) -> int:
-        n = 1
-        for size in self.sizes:
-            n *= size
-        return n
+        return prod(self.sizes)
 
     def vectors(self):
         """An iterator over the solution vectors x in lexicographic order of the
@@ -528,46 +529,48 @@ class ModularKernel:
 
 
 def solve_mod(sd: SmithDecomposition, modulus: int) -> ModularKernel:
-    """Describe the kernel of the decomposed matrix over Z/modulusZ."""
+    """Describe the kernel of the decomposed matrix over Z/modulusZ; of c it
+    builds, from the whole matrix's log, only the columns it walks."""
+    steps, sizes, free = _free(sd.padded_factors(), modulus)
+    n = sd.shape[1]
+    return ModularKernel(modulus, steps, sizes,
+                         IntegerMatrix(n, len(free), _columns(sd.col_ops, n, free)))
+
+
+def unit_kernel(sd: SmithDecomposition, modulus: int) -> ModularKernel:
+    """The kernel of the decomposed matrix over Z/modulusZ from the unit pivots.
+
+    The block left without a unit gives the columns of its transform
+    (block_ops) that solve_mod would take of c.  The pivot rows then set
+    their columns in reverse pivot order: a row with unit u at column j
+    makes x_j = -u * (row @ x), as x_j is still 0 and every other column
+    of the row was set before it; u * u = 1 makes this exact mod any
+    modulus.  Entries are reduced mod modulus.  No reference elimination
+    of the whole matrix runs.
+    """
+    nc = sd.shape[1]
+    keep = sorted(set(range(nc)).difference(j for j, _ in sd.pivots))
+    steps, sizes, free = _free(sd.padded_factors()[len(sd.pivots):], modulus)
+    basis = []
+    for column in zip(*_columns(sd.block_ops, len(keep), free)):
+        x = [0] * nc
+        for j, v in zip(keep, column):
+            x[j] = v % modulus
+        for j, row in reversed(sd.pivots):
+            x[j] = -row[j] * sum(map(mul, row.values(), map(x.__getitem__, row))) % modulus
+        basis.append(x)
+    transform = IntegerMatrix(nc, len(free), tuple(zip(*basis)) if basis else ((),) * nc)
+    return ModularKernel(modulus, steps, sizes, transform)
+
+
+def _free(factors, modulus: int):
+    """Steps and sizes of the coordinates the factors d leave free mod
+    modulus, those with gcd(d, modulus) > 1, and their positions."""
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    sizes = tuple(gcd(d, modulus) for d in sd.padded_factors())
-    steps = tuple(modulus // g for g in sizes)
-    return ModularKernel(modulus, steps, sizes, sd.c)
-
-
-def prime_kernel(sd: SmithDecomposition, p: int) -> ModularKernel:
-    """The kernel of the decomposed matrix over F_p, p prime, from the unit pivots.
-
-    The block left without a unit is put in reduced echelon form mod p.
-    Each of its free columns gives one basis vector, 1 there and 0 at the
-    block's other free columns, with its echelon columns read off the
-    reduced rows.  The pivot rows then set their columns in reverse pivot
-    order: a row with unit u at column j makes x_j = -u * (row @ x), as
-    x_j is still 0 and every other column of the row was set before it.
-    The basis vectors are the columns of the transform.  No reference
-    elimination runs.
-    """
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
-    nc = sd.shape[1]
-    done = {j for j, _ in sd.pivots}
-    keep = [j for j in range(nc) if j not in done]
-    lead, reduced = _rref_mod_p([[row.get(j, 0) for j in keep] for row in sd.rest], p)
-    basis = []
-    for f in range(len(keep)):
-        if f in lead:
-            continue
-        x = [0] * nc
-        x[keep[f]] = 1
-        for row, t in zip(reduced, lead):
-            x[keep[t]] = -row[f] % p
-        for j, row in reversed(sd.pivots):
-            x[j] = -row[j] * sum(map(mul, row.values(), map(x.__getitem__, row))) % p
-        basis.append(x)
-    k = len(basis)
-    transform = IntegerMatrix(nc, k, tuple(zip(*basis)) if k else ((),) * nc)
-    return ModularKernel(p, (1,) * k, (p,) * k, transform)
+    sizes = [gcd(d, modulus) for d in factors]
+    free = [f for f, g in enumerate(sizes) if g > 1]
+    return tuple(modulus // sizes[f] for f in free), tuple(sizes[f] for f in free), free
 
 
 def _rref_mod_p(rows, p: int):

@@ -15,11 +15,11 @@ have closed forms, verified here against brute-force orbit partitions.
 
 For an odd prime the action is free, and prime_classes lists the sorted
 orbit representatives straight from the reduced echelon basis of the
-kernel over F_p, without listing the colorings or building the group.
-orbit_partition partitions enumerated colorings under the whole group,
-one interpreter step per orbit; the classes command runs it at every
-modulus, and verify_counts keeps it as the independent brute-force check
-for primes.
+kernel over F_p that unit_kernel gives, without listing the colorings,
+building the group or eliminating the whole matrix.  orbit_partition
+partitions enumerated colorings under the whole group, one interpreter
+step per orbit; the classes command runs it at every modulus, and
+verify_counts keeps it as the independent brute-force check for primes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import attrgetter, mod
 
 from .coloring import ColoringProfile, ENUMERATION_BUDGET, is_odd_prime, profile
 from .diagram import PlanarDiagram, random_variants
-from .linalg import IntegerMatrix, ModularKernel, _rref_mod_p, prime_kernel
+from .linalg import IntegerMatrix, ModularKernel, _rref_mod_p, unit_kernel
 
 AUT = "aut"
 INN = "inn"
@@ -181,11 +181,11 @@ def prime_classes(pr: ColoringProfile, kind: str, p: int) -> tuple[int, list[tup
     (inn) members, and its lexicographically least member has arc 0 = 0
     and its first nonzero value 1 (aut) or in 1..(p-1)/2 (inn).
 
-    The kernel basis over F_p from the unit pivots (prime_kernel; no
-    reference elimination) is put in reduced echelon form, pivots
-    ascending; that form is the subspace's own, whatever the basis.  The
-    constant colorings span the row with pivot arc 0; the other rows
-    b_0..b_{k-1} span the colorings with arc 0 = 0, and on
+    The kernel basis over F_p from the unit pivots (unit_kernel; no
+    reference elimination of the whole matrix) is put in reduced echelon
+    form, pivots ascending; that form is the subspace's own, whatever the
+    basis.  The constant colorings span the row with pivot arc 0; the
+    other rows b_0..b_{k-1} span the colorings with arc 0 = 0, and on
     them lex order of colorings is lex order of coefficient tuples, with
     the first nonzero coefficient the first nonzero value.  The walk
     of ModularKernel.vectors takes the coefficient tuples in that order,
@@ -199,7 +199,7 @@ def prime_classes(pr: ColoringProfile, kind: str, p: int) -> tuple[int, list[tup
     if not is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     size, lead_stop = (p * (p - 1), 2) if kind == AUT else (2 * p, (p + 1) // 2)
-    _, rows = _rref_mod_p(zip(*prime_kernel(pr.smith, p).transform.entries), p)
+    _, rows = _rref_mod_p(zip(*unit_kernel(pr.smith, p).transform.entries), p)
     rows = rows[1:]  # drop the constants' row, the one with pivot arc 0
     k = len(rows)
     if k == 0:
@@ -278,12 +278,12 @@ def verify_counts(d: PlanarDiagram, primes: Sequence[int], *, label: str = "diag
     Every prime is validated before any work.  The variants are built
     once and the diagram and each variant are decomposed once, by
     `profile`; every prime reads its nullity and its colorings from those
-    profiles, the colorings by prime_colorings, whose walk over the F_p
-    kernel of the unit pivots runs no reference elimination.  Returns one
-    report per prime, in the order given.  Diagrams without non-trivial
-    p-colorings (nullity < 2) verify vacuously with zero classes, and a
-    prime at which neither the diagram nor any variant has one builds no
-    group.  Every mismatch lands in the report's `failures`.
+    profiles, the colorings by prime_colorings, whose walk over
+    unit_kernel runs no reference elimination of the whole matrix.
+    Returns one report per prime, in the order given.  Diagrams without
+    non-trivial p-colorings (nullity < 2) verify vacuously with zero
+    classes, and a prime at which neither the diagram nor any variant has
+    one builds no group.  Every mismatch lands in the report's `failures`.
     """
     primes = tuple(primes)
     for p in primes:

@@ -6,8 +6,9 @@ slot pairing at most once per PD code (a move that keeps its input's
 slots traces no faces in full and counts no labels), one diagram per
 variant, one Smith form
 per profile however often generating_arcs and extend_coloring read it,
-and the reference Smith elimination only where a verb lists colorings
-in its order.
+and the reference Smith elimination of the whole matrix only where a
+verb lists colorings in its order, with no more of its transform than
+the walk turns.
 Cached fields leave equality and hashing alone.
 """
 
@@ -173,21 +174,36 @@ def test_cached_tables_keep_identity():
     (["enumerate", "4_1", "--mod", "6", "--all"], 1),
 ])
 def test_reference_elimination_only_for_listing_order(monkeypatch, capsys, argv, diagrams):
-    # c is built by the reference elimination of the whole matrix, and only there
-    transforms = counting(monkeypatch, SmithDecomposition, "c")
+    # the whole matrix's log comes from its reference elimination, and only there
+    logs = counting(monkeypatch, SmithDecomposition, "col_ops")
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(transforms) == diagrams
-    assert len({id(sd) for sd in transforms}) == diagrams
+    assert len(logs) == diagrams
+    assert len({id(sd) for sd in logs}) == diagrams
+    # the walk builds only the columns it turns, never all of c
+    assert all("c" not in vars(sd) for sd in logs)
 
 
 def test_prime_classes_run_no_reference_elimination(monkeypatch):
-    transforms = counting(monkeypatch, SmithDecomposition, "c")
+    logs = counting(monkeypatch, SmithDecomposition, "col_ops")
     pr = profile(KNOT_9_40)
     for kind in (AUT, INN):
         for p in (3, 5, 7):
             prime_classes(pr, kind, p)
-    assert transforms == []
+    assert logs == []
+    assert "c" not in vars(pr.smith)
+
+
+def test_generators_run_no_reference_elimination(monkeypatch):
+    logs = counting(monkeypatch, SmithDecomposition, "col_ops")
+    pr = profile(KNOT_9_40)
+    for p in (3, 5, 7):
+        free = sorted(generating_arcs(pr, p))
+        extend_coloring(pr, p, dict.fromkeys(free, 1))
+        extend_coloring(KNOT_9_40, p, dict.fromkeys(free, 1))
+    assert generating_arcs(KNOT_9_40, 3) == generating_arcs(pr, 3)
+    assert logs == []
+    assert "c" not in vars(pr.smith)
 
 
 def test_extending_through_a_profile_runs_one_smith_form(monkeypatch):

@@ -523,6 +523,49 @@ class TestJsonWriter:
         expected = json.dumps({"colorings": rows, "count": len(rows)}, indent=2, sort_keys=True)
         assert capsys.readouterr().out == expected + "\n"
 
+    @pytest.mark.parametrize("records", [
+        [], [{"size": 6, "representative": (0,)}],
+        [{"size": 6, "representative": (0, 0, 1)}, {"size": 6, "representative": (0, 1, 1)}],
+        [{"size": 2 ** 65, "representative": (-1, -(2 ** 70), 0)},
+         {"size": -3, "representative": (2 ** 64 + 1, 5)}],
+    ])
+    def test_trusted_records(self, capsys, records):
+        # the partition's representatives skip the type scan and must still
+        # give json.dumps' bytes
+        obj = {"class_count": len(records), "orbits": cli._IntRecords(records)}
+        cli._emit_json(obj)
+        expected = json.dumps({"class_count": len(records), "orbits": records},
+                              indent=2, sort_keys=True)
+        assert capsys.readouterr().out == expected + "\n"
+
+    @pytest.mark.parametrize("m, kind", [(15, orbits.AUT), (300, orbits.INN)])
+    def test_classes_representatives_are_trusted(self, capsys, monkeypatch, m, kind):
+        def no_scan(rows):
+            raise AssertionError("the representatives were scanned")
+
+        nontrivial = enumerate_colorings(build_diagram(catalog("9_40")), m, nontrivial_only=True)
+        part = orbits.orbit_partition(nontrivial, orbits.build_group(kind, m))
+        monkeypatch.setattr(cli, "_are_int_rows", no_scan)
+        code, out, _ = run(capsys, "classes", "9_40", "--mod", str(m), "--group", kind, "--json")
+        assert code == 0
+        assert json.loads(out)["orbits"] == [{"size": size, "representative": list(rep)}
+                                             for rep, size in part.orbits]
+        assert len(part.orbits) > 1
+
+    def test_moves_crossings_are_scanned(self, capsys, monkeypatch):
+        # crossings are rows the writer did not build, and are still checked
+        scanned = []
+        are_int_rows = cli._are_int_rows
+
+        def recording(rows):
+            scanned.append(rows)
+            return are_int_rows(rows)
+
+        monkeypatch.setattr(cli, "_are_int_rows", recording)
+        code, out, _ = run(capsys, "moves", "3_1", "--site", "R1_insert:1", "--json")
+        assert code == 0
+        assert json.loads(out)["crossings"] in [list(map(list, rows)) for rows in scanned]
+
     def test_enumerate_rows_are_trusted(self, capsys, monkeypatch):
         def no_scan(rows):
             raise AssertionError("the walk's rows were scanned")

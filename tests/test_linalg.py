@@ -157,11 +157,16 @@ class TestTransformsOnDemand:
             assert link_determinant(pr.smith) == pr.determinant
             assert "c" not in vars(pr.smith), name
 
-    def test_enumeration_builds_c_only(self):
+    def test_enumeration_builds_walked_columns_only(self):
+        # solve_mod reads the whole matrix's log for the columns of c it
+        # walks, those of the factors divisible by 5, and builds no c
         sd = profile(build_diagram(catalog("9_40"))).smith
         kernel = solve_mod(sd, 5)
-        assert kernel.transform is sd.c
-        assert "c" in vars(sd)
+        assert "col_ops" in vars(sd) and "c" not in vars(sd)
+        free = [f for f, d in enumerate(sd.padded_factors()) if d % 5 == 0]
+        assert len(free) == 3 and kernel.sizes == (5, 5, 5) and kernel.steps == (1, 1, 1)
+        assert kernel.transform.entries == tuple(tuple(row[f] for f in free)
+                                                 for row in sd.c.entries)
 
     def test_replayed_transforms_on_grown_variant(self):
         # larger than the catalog diagrams; the replayed c passes the check
@@ -253,20 +258,20 @@ class TestSmithCheck:
 class TestSolveMod:
     def test_trefoil_mod3(self):
         kernel = solve_mod(smith_normal_form(TREFOIL_MATRIX), 3)
-        # first coordinate forced to 0, the other two free
-        assert [tuple(range(0, 3, step)) for step in kernel.steps] == [(0,), (0, 1, 2), (0, 1, 2)]
+        # the first coordinate, forced to 0, is not listed; the other two are free
+        assert [tuple(range(0, 3, step)) for step in kernel.steps] == [(0, 1, 2), (0, 1, 2)]
         assert kernel.count() == 9
         vectors = list(kernel.vectors())
         assert len(vectors) == len(set(vectors)) == 9
 
     def test_trefoil_mod5_only_trivial(self):
         kernel = solve_mod(smith_normal_form(TREFOIL_MATRIX), 5)
-        assert kernel.sizes == (1, 1, 5)
+        assert kernel.sizes == (5,)  # the two coordinates of size 1 are not listed
         assert kernel.count() == 5
 
     def test_trefoil_mod9(self):
         kernel = solve_mod(smith_normal_form(TREFOIL_MATRIX), 9)
-        assert kernel.sizes == (1, 3, 9)
+        assert kernel.sizes == (3, 9)  # nor is the one of size 1
         assert kernel.count() == 27
 
     def test_vectors_solve_the_system(self):

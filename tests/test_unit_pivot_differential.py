@@ -7,11 +7,12 @@ the factors of the reference elimination of the whole matrix, and the
 minor-gcd oracle's up to 6x6.  The unit pivots go shortest rows first;
 reference_unit_pivots keeps the index-order rule they replace, and the
 two rules must give the same factors and the same F_p kernels, with no
-+-1 entry left in the block either way.  prime_kernel spans the F_p kernel from
-the same pivots; its walk must list exactly the colorings that the walk
-over the reference transform c lists, that the exhaustive search finds,
-and, on random small matrices, that a search over all of F_p^n finds.
-generating_arcs and extend_coloring read the same F_p kernel; they must
++-1 entry left in the rows they leave either way.  unit_kernel spans the
+F_p kernel from the same pivots; its walk must list exactly the colorings
+that the walk over the reference transform c lists, that the exhaustive
+search finds, and, on random small matrices, that a search over all of
+F_p^n finds.  generating_arcs and extend_coloring read the same F_p
+kernel; they must
 give the generating sets and colorings of the dense reduction of the
 whole coloring matrix mod p that they replace.
 """
@@ -31,7 +32,7 @@ from smith_oracle import minor_gcd_factors, smith_check
 import foxcolor.linalg as linalg
 from foxcolor.coloring import coloring_matrix, extend_coloring, generating_arcs, profile
 from foxcolor.diagram import build_diagram, catalog, catalog_names, parse_pd, random_variants
-from foxcolor.linalg import IntegerMatrix, prime_kernel, smith_normal_form
+from foxcolor.linalg import IntegerMatrix, smith_normal_form, unit_kernel
 
 from test_oracle_differential import LINKS
 
@@ -107,8 +108,14 @@ def reference_smith(m: IntegerMatrix):
         return smith_normal_form(m)
 
 
+def left_rows(m: IntegerMatrix, rule=None):
+    """The rows a unit-pivot rule (linalg._unit_pivots unless given) leaves
+    without a unit, in index order."""
+    return (rule or linalg._unit_pivots)(list(map(dict, m.nonzeros)), m.cols)[1]
+
+
 def kernel_set(sd, p: int) -> set[tuple[int, ...]]:
-    kernel = prime_kernel(sd, p)
+    kernel = unit_kernel(sd, p)
     vectors = list(kernel.vectors())
     assert len(vectors) == len(set(vectors)) == kernel.count()  # the basis is independent
     return set(vectors)
@@ -135,14 +142,16 @@ def test_filled_nonzeros_view(name):
 def test_pivot_rule():
     # row 0 pivots in column 2, the one of its units with fewer nonzeros;
     # row 1 has no unit; row 2 pivots in column 0 and leaves row 1 with -4
-    sd = smith_normal_form(IntegerMatrix.from_rows([[1, 0, -1], [2, 2, 0], [1, 3, 0]]))
+    m = IntegerMatrix.from_rows([[1, 0, -1], [2, 2, 0], [1, 3, 0]])
+    sd = smith_normal_form(m)
     assert sd.pivots == ((2, {0: 1, 2: -1}), (0, {0: 1, 1: 3}))
-    assert sd.rest == ({1: -4},) and sd.invariant_factors == (1, 1, 4)
+    assert left_rows(m) == [{1: -4}] and sd.invariant_factors == (1, 1, 4)
     # row 0 gains a unit only once row 1 has pivoted (the tie goes to column 0),
     # so it pivots in the second pass
-    sd = smith_normal_form(IntegerMatrix.from_rows([[2, 3, 0], [1, 1, 0], [0, 0, 5]]))
+    m = IntegerMatrix.from_rows([[2, 3, 0], [1, 1, 0], [0, 0, 5]])
+    sd = smith_normal_form(m)
     assert sd.pivots == ((0, {0: 1, 1: 1}), (1, {1: 1}))
-    assert sd.rest == ({2: 5},) and sd.invariant_factors == (1, 1, 5)
+    assert left_rows(m) == [{2: 5}] and sd.invariant_factors == (1, 1, 5)
     # the bound starts at 1, row 1's length: the first pass pivots nothing,
     # and the bound rises to 2, row 2's; row 0 waits, as it holds 3
     # nonzeros, while row 2 pivots in column 1 and leaves row 0 with
@@ -151,15 +160,17 @@ def test_pivot_rule():
     m = IntegerMatrix.from_rows([[1, 2, 1], [0, 4, 0], [3, 1, 0]])
     sd = smith_normal_form(m)
     assert sd.pivots == ((1, {0: 3, 1: 1}), (2, {0: -5, 2: 1}))
-    assert sd.rest == ({0: -12},) and sd.invariant_factors == (1, 1, 12)
+    assert left_rows(m) == [{0: -12}] and sd.invariant_factors == (1, 1, 12)
     # in index order row 0 pivots first, in column 2, where it is alone
     ref = reference_smith(m)
     assert ref.pivots == ((2, {0: 1, 1: 2, 2: 1}), (1, {0: 3, 1: 1}))
-    assert ref.rest == sd.rest and ref.invariant_factors == sd.invariant_factors
+    assert left_rows(m, reference_unit_pivots) == left_rows(m)
+    assert ref.invariant_factors == sd.invariant_factors
 
 
-def assert_no_unit_left(sd):
-    assert not any(abs(v) == 1 for row in sd.rest for v in row.values())
+def assert_no_unit_left(m: IntegerMatrix):
+    for rule in (None, reference_unit_pivots):
+        assert not any(abs(v) == 1 for row in left_rows(m, rule) for v in row.values())
 
 
 @pytest.mark.parametrize("name", DIAGRAMS)
@@ -167,8 +178,7 @@ def test_pivot_orders_agree(name):
     m = coloring_matrix(DIAGRAMS[name])
     sd, ref = smith_normal_form(m), reference_smith(m)
     assert sd.invariant_factors == ref.invariant_factors
-    assert_no_unit_left(sd)
-    assert_no_unit_left(ref)
+    assert_no_unit_left(m)
     for p in PRIMES:
         assert kernel_set(sd, p) == kernel_set(ref, p), p
 
@@ -326,7 +336,7 @@ class TestFactorsProperty:
         sd = smith_normal_form(m)
         assert sd.invariant_factors == reference_factors(m) == (0,) * 0
         assert smith_check(m, sd.c, sd.invariant_factors)
-        assert prime_kernel(sd, 3).count() == 3 ** cols
+        assert unit_kernel(sd, 3).count() == 3 ** cols
 
 
 class TestPivotOrdersProperty:
@@ -335,8 +345,7 @@ class TestPivotOrdersProperty:
     def test_same_factors_and_kernels(self, m):
         sd, ref = smith_normal_form(m), reference_smith(m)
         assert sd.invariant_factors == ref.invariant_factors
-        assert_no_unit_left(sd)
-        assert_no_unit_left(ref)
+        assert_no_unit_left(m)
         for p in (2, 3, 5):
             assert kernel_set(sd, p) == kernel_set(ref, p), p
 
