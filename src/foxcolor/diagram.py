@@ -2,28 +2,33 @@
 
 A diagram is given by its PD code: one quadruple of edge labels per
 crossing, read counterclockwise starting at the incoming under-edge, so
-the over-strand occupies positions 2 and 4.  parse_pd renumbers the
-labels to 1..E in their order, unless they are 1..E already, and every
-PdCode checks its labels and its planarity.  parse_pd counts the labels
-once, by one stable sort of the slots by label (_sorted_slots), which
-also pairs each label's two slots; the code's planarity check reads
-that pairing instead of pairing the slots again.  Edges merge into arcs
-along the over-strand (build_diagram, by a union-find read off in one
-ascending pass), and each crossing contributes the relation
-(under-arc, next under-arc, over-arc) that drives the coloring system.
+the over-strand occupies positions 2 and 4.  Slot 4c + i is position i
+of crossing c, and everything below works on slots: s ^ 2 is the far
+end of the strand through slot s, even slots are under and odd ones
+over, and mates[s] is the other slot of the edge in slot s.  One stable
+sort of the slots by label (_sorted_slots) checks that every label
+occurs twice and pairs each label's two slots; every PdCode is paired
+by it, and its planarity check reads that pairing.  parse_pd renumbers
+the labels to 1..E in their order, unless they are 1..E already.  Edges
+merge into arcs along the over-strand (build_diagram, by a union-find
+read off in one ascending pass), and each crossing contributes the
+relation (under-arc, next under-arc, over-arc) that drives the coloring
+system.
 
 The crossing-free unknot cannot be written as a PD code; it is admitted
-through the special token "unknot" and carries a single arc.
+through the special token "unknot" and carries a single arc, edge 1.
 
-Reidemeister moves rewrite PD codes (apply_move_pd) and renumber the
-result (_renumber) by label ranks from the same slot sort, the move's
-only label check.  A move that keeps every slot in place (insertions,
-R3) re-traces only the faces through slots whose mate changed and
-carries over its input's component count; the genus check reads these
-counts.  A PdCode keeps its faces, so choosing a move site reads them
-without tracing again.  A PlanarDiagram (arcs and relations) is built
-only where it is read: apply_move builds one per move, random_variants
-one per variant.
+Reidemeister moves rewrite PD codes (apply_move_pd).  A move finds an
+edge as its two slots, the first by one index over the labels and the
+second through mates, reads the crossings at those slots and relabels
+slots.  The result is renumbered (_renumber) by label ranks from the
+same slot sort, the move's only label check.  A move that keeps every
+slot in place (insertions, R3) re-traces only the faces through slots
+whose mate changed and carries over its input's component count; the
+genus check reads these counts.  A PdCode keeps its faces, so choosing a
+move site reads them without tracing again.  A PlanarDiagram (arcs and
+relations) is built only where it is read: apply_move builds one per
+move, random_variants one per variant.
 """
 
 from __future__ import annotations
@@ -45,9 +50,6 @@ R2_DELETE = "R2_delete"
 R3 = "R3"
 MOVE_KINDS = (R1_INSERT, R1_DELETE, R2_INSERT, R2_DELETE, R3)
 
-_UNDER_SLOTS = (0, 2)
-_OVER_SLOTS = (1, 3)
-
 
 class PdError(ValueError):
     """Malformed or inconsistent PD code."""
@@ -64,29 +66,37 @@ def _is_label(e) -> bool:
 
 @dataclass(frozen=True)
 class PdCode:
-    """Validated PD code; labels are 1..E with every label used exactly twice.
+    """Validated PD code: a tuple of 4-tuples whose labels are 1..E, each
+    used exactly twice.
 
-    The slot permutation, faces and component count that the planarity
-    check reads are cached properties, outside equality and hashing.
+    mates, the slot pairing of the labels, is set at construction; the
+    faces and component count that the planarity check reads are cached
+    properties.  All three are outside equality and hashing.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self):
         quads = self.crossings
+        if not isinstance(quads, tuple):
+            raise PdError(f"crossings {quads!r} are not a tuple of quadruples")
         labels = list(chain.from_iterable(quads)) if set(map(type, quads)) == {tuple} else []
         if not (labels and set(map(len, quads)) == {4} and set(map(type, labels)) == {int}
                 and min(labels) >= 1):
-            # crossing by crossing: names what is wrong, admits int subclasses
-            for q in self.crossings:
+            # crossing by crossing: names what is wrong, admits subclasses
+            for q in quads:
+                if not isinstance(q, tuple):
+                    raise PdError(f"crossing {q!r} is not a tuple")
                 if len(q) != 4:
                     raise PdError(f"crossing {q!r} is not a quadruple")
                 for e in q:
                     if not _is_label(e) or e < 1:
                         raise PdError(f"edge label {e!r} is not a positive integer")
-        counts = _label_counts(chain.from_iterable(quads))
-        if counts and max(counts) != len(counts):  # E distinct labels >= 1 are 1..E iff max is E
+            labels = list(chain.from_iterable(quads))
+        _, labels, mates = _sorted_slots(labels)
+        if labels and labels[-1] != len(labels):  # E distinct labels >= 1 are 1..E iff max is E
             raise PdError("edge labels must form 1..E with no gaps")
+        vars(self)["mates"] = mates
         self._check_planar()
 
     def _check_planar(self):
@@ -94,12 +104,6 @@ class PdCode:
         if genus:
             raise PdError(f"no planar diagram has this PD code: it needs a surface "
                           f"of genus {genus}")
-
-    @cached_property
-    def mates(self) -> tuple[int, ...]:
-        """Slot permutation of the edges, as built by _mates; parse_pd and
-        the moves hand it over from their own slot sort."""
-        return _mates(self.crossings)
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -133,8 +137,9 @@ class PdCode:
 
 def _code(crossings, mates, **known) -> PdCode:
     """PdCode(crossings) from a caller that has checked its labels and
-    paired its slots; only the planarity check runs.  mates, and whatever
-    else the caller knows (faces, components), seed the cached properties.
+    paired its slots; only the planarity check runs.  mates is stored as
+    __post_init__ stores it, and whatever else the caller knows (faces,
+    components) seeds the cached properties.
     """
     pd = object.__new__(PdCode)
     object.__setattr__(pd, "crossings", crossings)
@@ -157,9 +162,8 @@ def _sorted_slots(flat):
 
     Slot s holds flat[s].  The sort is stable, so each label's two slots
     sit side by side, the lower first: pair k holds the k-th smallest
-    label, and mates (as built by _mates) swaps the slots of each pair.
-    Raises PdError, as _label_counts, unless every label occurs exactly
-    twice.
+    label, and mates swaps the slots of each pair.  Raises PdError, as
+    _label_counts, unless every label occurs exactly twice.
     """
     slots = sorted(range(len(flat)), key=flat.__getitem__)
     paired = list(map(flat.__getitem__, slots))
@@ -169,20 +173,6 @@ def _sorted_slots(flat):
     for s, t in zip(slots[0::2], slots[1::2]):
         mates[s], mates[t] = t, s
     return slots, paired[0::2], tuple(mates)
-
-
-def _mates(crossings) -> tuple[int, ...]:
-    """Slot 4c + i is position i of crossing c; mate[s] is the slot at the
-    other end of the edge in slot s."""
-    mate = [0] * (4 * len(crossings))
-    open_end: dict[int, int] = {}
-    for s, e in enumerate(e for q in crossings for e in q):
-        t = open_end.pop(e, None)
-        if t is None:
-            open_end[e] = s
-        else:
-            mate[s], mate[t] = t, s
-    return tuple(mate)
 
 
 def _faces(mate) -> tuple[tuple[int, ...], ...]:
@@ -403,57 +393,50 @@ def apply_move_pd(pd: PdCode, site: MoveSite) -> PdCode:
     return _code(crossings, mates, faces=tuple(sorted(faces)), components=pd.components)
 
 
-def _occurrences(quads, edge):
-    return [(ci, slot) for ci, q in enumerate(quads) for slot in range(4) if q[slot] == edge]
+def _ends(flat, mates, edge) -> tuple[int, int]:
+    """The two slots of edge, whose labels are flat: its first slot and
+    that slot's mate.  Raises MoveError unless edge is a label of flat."""
+    try:
+        s = flat.index(edge)
+    except ValueError:
+        raise MoveError(f"edge {edge} does not exist in the diagram") from None
+    return s, mates[s]
 
 
-def _require_edge(pd: PdCode, edge: int):
-    if edge not in pd.edges():
-        raise MoveError(f"edge {edge} does not exist in the diagram")
+def _relabel(quads, slot, label):
+    """Put label in the slot of quads, a list of crossings, in place."""
+    c, i = divmod(slot, 4)
+    q = quads[c]
+    quads[c] = q[:i] + (label,) + q[i + 1:]
 
 
 def _r1_insert(pd: PdCode, site: MoveSite):
     if not site.edges:
         raise MoveError("R1_insert needs an edge")
-    if pd.n_crossings == 0:
+    e = site.edges[0]
+    if not pd.crossings and e == 1:
         # kink the bare unknot; both chiralities give a one-arc diagram
         return [(2, 1, 1, 2)] if site.over else [(1, 2, 2, 1)]
-    e = site.edges[0]
-    _require_edge(pd, e)
-    s = list(chain.from_iterable(pd.crossings)).index(e)
     # the kink sits at the second slot of e; the first keeps label e
-    ci, slot = divmod(max(s, pd.mates[s]), 4)
+    _, t = _ends(list(chain.from_iterable(pd.crossings)), pd.mates, e)
     f = pd.n_edges + 1
     g = pd.n_edges + 2
     quads = list(pd.crossings)
-    quads[ci] = quads[ci][:slot] + (f,) + quads[ci][slot + 1:]
+    _relabel(quads, t, f)
     quads.append((g, e, f, g) if site.over else (e, g, g, f))
     return quads
-
-
-def _kink_slots(q, loop_edge):
-    """Slots (under, over) where loop_edge closes a kink in quadruple q, or None."""
-    for u in _UNDER_SLOTS:
-        for o in _OVER_SLOTS:
-            if q[u] == q[o] == loop_edge:
-                return u, o
-    return None
 
 
 def _r1_delete(pd: PdCode, site: MoveSite):
     if not site.edges:
         raise MoveError("R1_delete needs the loop edge")
     g = site.edges[0]
-    _require_edge(pd, g)
-    quads = [tuple(q) for q in pd.crossings]
-    for ci, q in enumerate(quads):
-        slots = _kink_slots(q, g)
-        if slots:
-            u_slot, o_slot = slots
-            e = q[_UNDER_SLOTS[1 - _UNDER_SLOTS.index(u_slot)]]
-            f = q[_OVER_SLOTS[1 - _OVER_SLOTS.index(o_slot)]]
-            return _delete_crossings(quads, {ci}, [(e, f)])
-    raise MoveError(f"edge {g} is not the loop of a kink")
+    flat = list(chain.from_iterable(pd.crossings))
+    s, t = _ends(flat, pd.mates, g)
+    if s >> 2 != t >> 2 or not (s ^ t) & 1:  # one crossing, once under and once over
+        raise MoveError(f"edge {g} is not the loop of a kink")
+    # the two strands through the loop go on at the far ends of its slots
+    return _delete_crossings(pd.crossings, {s >> 2}, [(flat[s ^ 2], flat[t ^ 2])])
 
 
 def _r2_insert(pd: PdCode, site: MoveSite):
@@ -470,52 +453,43 @@ def _r2_insert(pd: PdCode, site: MoveSite):
     x, y = site.edges
     if x == y:
         raise MoveError("R2_insert needs two distinct edges")
-    _require_edge(pd, x)
-    _require_edge(pd, y)
-    quads = [list(q) for q in pd.crossings]
-    mate = pd.mates
-    flat = tuple(chain.from_iterable(pd.crossings))  # the label in each slot
+    flat, mates = list(chain.from_iterable(pd.crossings)), pd.mates
+    _ends(flat, mates, x)
+    _ends(flat, mates, y)
     for face in pd.faces:
         labels = list(map(flat.__getitem__, face))
         if x in labels and y in labels:
-            x_west_end = divmod(mate[face[labels.index(x)]], 4)
-            y_west_end = divmod(face[labels.index(y)], 4)
             break
     else:
         raise MoveError(f"edges {x} and {y} share no face, so no R2 move joins them")
     n = pd.n_edges
     top, x_west, y_mid, y_west = n + 1, n + 2, n + 3, n + 4
-    quads[x_west_end[0]][x_west_end[1]] = x_west
-    quads[y_west_end[0]][y_west_end[1]] = y_west
-    quads.append([y_west, x_west, y_mid, top])
-    quads.append([y_mid, x, y, top])
-    return [tuple(q) for q in quads]
+    quads = list(pd.crossings)
+    _relabel(quads, mates[face[labels.index(x)]], x_west)
+    _relabel(quads, face[labels.index(y)], y_west)
+    quads += [(y_west, x_west, y_mid, top), (y_mid, x, y, top)]
+    return quads
 
 
 def _r2_delete(pd: PdCode, site: MoveSite):
     if not site.edges:
         raise MoveError("R2_delete needs the over middle edge")
     u = site.edges[0]
-    _require_edge(pd, u)
-    quads = [tuple(q) for q in pd.crossings]
-    occ = _occurrences(quads, u)
-    if not all(slot in _OVER_SLOTS for _, slot in occ):
+    flat, mates = list(chain.from_iterable(pd.crossings)), pd.mates
+    s, t = _ends(flat, mates, u)
+    if not s & t & 1:
         raise MoveError(f"edge {u} is not an over middle edge")
-    (ci, _), (cj, _) = occ
+    ci, cj = s >> 2, t >> 2
     if ci == cj:
         raise MoveError(f"edge {u} loops at a single crossing")
-    under_i = {quads[ci][s] for s in _UNDER_SLOTS}
-    under_j = {quads[cj][s] for s in _UNDER_SLOTS}
-    shared = sorted(w for w in under_i & under_j
-                    if all(c in (ci, cj) and s in _UNDER_SLOTS for c, s in _occurrences(quads, w)))
+    # the under slots of ci whose edge ends at an under slot of cj
+    shared = [a for a in (4 * ci, 4 * ci + 2) if mates[a] >> 2 == cj and not mates[a] & 1]
     if not shared:
         raise MoveError(f"no under middle edge pairs with {u}")
-    w = shared[0]
-    p = next(quads[ci][s] for s in _UNDER_SLOTS if quads[ci][s] != w)
-    q_ = next(quads[cj][s] for s in _UNDER_SLOTS if quads[cj][s] != w)
-    rr = next(quads[ci][s] for s in _OVER_SLOTS if quads[ci][s] != u)
-    ss = next(quads[cj][s] for s in _OVER_SLOTS if quads[cj][s] != u)
-    return _delete_crossings(quads, {ci, cj}, [(p, q_), (rr, ss)])
+    a = min(shared, key=flat.__getitem__)
+    b = mates[a]
+    return _delete_crossings(pd.crossings, {ci, cj},
+                             [(flat[a ^ 2], flat[b ^ 2]), (flat[s ^ 2], flat[t ^ 2])])
 
 
 def _delete_crossings(quads, drop: set[int], joins):
@@ -565,92 +539,46 @@ def _delete_crossings(quads, drop: set[int], joins):
     return [tuple(sub.get(e, e) for e in q) for q in kept]
 
 
-def _pair_slots(q, kind):
-    slots = _UNDER_SLOTS if kind == "under" else _OVER_SLOTS
-    return (q[slots[0]], q[slots[1]])
-
-
 def _r3(pd: PdCode, site: MoveSite):
-    """Slide the strand carrying `t` across the crossing of the two strands under (or over) it."""
+    """Slide the strand carrying `t` across the crossing of the two strands under (or over) it.
+
+    t runs from slot sx of crossing x to slot sy of crossing y.  The
+    corner edges a (at x) and b (at y) on the other side meet again at
+    slots za and zb, on opposite sides of the completing crossing z.
+    Along the sliding strand the two corner crossings swap order, so its
+    outer edges trade places; on the other two strands the outer edge at
+    the corner trades places with the edge beyond z.  Only triangles
+    whose nine local edges are pairwise distinct are rewritten;
+    wrap-around coincidences on small diagrams are rejected.
+    """
     if not site.edges:
         raise MoveError("R3 needs the middle edge of the sliding strand")
     t = site.edges[0]
-    _require_edge(pd, t)
-    quads = [tuple(q) for q in pd.crossings]
-    occ = _occurrences(quads, t)
-    (xi, _), (yi, _) = occ
+    flat, mates = list(chain.from_iterable(pd.crossings)), pd.mates
+    sx, sy = _ends(flat, mates, t)
+    xi, yi = sx >> 2, sy >> 2
     if xi == yi:
         raise MoveError(f"edge {t} loops at a single crossing")
-    if all(s in _OVER_SLOTS for _, s in occ):
-        t_side = "over"
-    elif all(s in _UNDER_SLOTS for _, s in occ):
-        t_side = "under"
-    else:
+    if (sx ^ sy) & 1:
         raise MoveError(f"edge {t} does not cross two strands on the same side")
-    other_side = "under" if t_side == "over" else "over"
-
-    # the three strands must bound a face, or the slide crosses other strands
-    triangles = {frozenset(quads[s // 4][s % 4] for s in f)
-                 for f in pd.faces if len(f) == 3}
-    x_pair = _pair_slots(quads[xi], other_side)
-    y_pair = _pair_slots(quads[yi], other_side)
-    for a in x_pair:
-        for b in y_pair:
-            for zi, zq in enumerate(quads):
-                if zi in (xi, yi):
-                    continue
-                zu = _pair_slots(zq, "under")
-                zo = _pair_slots(zq, "over")
-                crossed = (a in zu and b in zo) or (a in zo and b in zu)
-                if crossed and frozenset((t, a, b)) in triangles:
-                    out = _r3_rewrite(quads, xi, yi, zi, t, t_side, a, b)
-                    if out is not None:
-                        return out
+    # the three strands must bound a face, or the slide crosses other strands;
+    # that face holds t, so it runs through sx or sy
+    triangles = {frozenset(map(flat.__getitem__, f)) for f in _trace(mates, (sx, sy))
+                 if len(f) == 3}
+    for sa in sorted((sx ^ 1, sx ^ 3)):  # other-side slots in slot order: the first slide wins
+        za = mates[sa]
+        for sb in sorted((sy ^ 1, sy ^ 3)):
+            zb = mates[sb]
+            if (za >> 2 == zb >> 2 not in (xi, yi) and (za ^ zb) & 1
+                    and frozenset((t, flat[sa], flat[sb])) in triangles):
+                local = (sx, sx ^ 2, sy ^ 2, sa, sa ^ 2, za ^ 2, sb, sb ^ 2, zb ^ 2)
+                if len(set(map(flat.__getitem__, local))) == len(local):
+                    quads = list(pd.crossings)
+                    for p, q in ((sx ^ 2, sy ^ 2), (sa ^ 2, za ^ 2), (sb ^ 2, zb ^ 2)):
+                        _relabel(quads, p, flat[q])
+                        _relabel(quads, q, flat[p])
+                    return quads
     raise MoveError(f"no triangular face completes an R3 move at edge {t}")
-
-
-def _r3_rewrite(quads, xi, yi, zi, t, t_side, a_near, b_near):
-    """In-place slot rewrite of the triangle crossings, or None if degenerate.
-
-    Along the sliding strand the two corner crossings swap order, so its
-    outer edges trade places; on the other two strands the outer edge at
-    the corner trades places with the edge beyond the completing crossing.
-    Only triangles whose nine local edges are pairwise distinct are
-    rewritten; wrap-around coincidences on small diagrams are rejected.
-    """
-    def other(pair, e):
-        return pair[1] if pair[0] == e else pair[0]
-
-    def z_pair_of(e):
-        zu = _pair_slots(quads[zi], "under")
-        if e in zu:
-            return zu
-        return _pair_slots(quads[zi], "over")
-
-    other_side = "under" if t_side == "over" else "over"
-    t1 = other(_pair_slots(quads[xi], t_side), t)
-    t2 = other(_pair_slots(quads[yi], t_side), t)
-    a_far = other(_pair_slots(quads[xi], other_side), a_near)
-    b_far = other(_pair_slots(quads[yi], other_side), b_near)
-    a_post = other(z_pair_of(a_near), a_near)
-    b_post = other(z_pair_of(b_near), b_near)
-
-    local = (t, t1, t2, a_near, a_far, a_post, b_near, b_far, b_post)
-    if len(set(local)) != len(local):
-        return None
-
-    def sub_in(ci, old, new):
-        q = list(quads[ci])
-        q[q.index(old)] = new
-        quads[ci] = tuple(q)
-
-    sub_in(xi, a_far, a_post)
-    sub_in(xi, t1, t2)
-    sub_in(yi, b_far, b_post)
-    sub_in(yi, t2, t1)
-    sub_in(zi, a_post, a_far)
-    sub_in(zi, b_post, b_far)
-    return list(quads)
 
 
 def _renumber(quads):
@@ -662,7 +590,7 @@ def _renumber(quads):
     puts each label's two slots side by side, so pair k holds the slots
     of the k-th smallest label, the crossings of that label are
     slot >> 2 of its two slots, and the walk runs on ranks through lists.
-    Relabeling moves no slot, so the pairing is _mates of the result.
+    Relabeling moves no slot, so the pairing is also that of the result.
     Raises PdError unless every label occurs exactly twice.
     """
     if not quads:

@@ -114,9 +114,9 @@ def test_faces_once_per_code(monkeypatch):
 
 def test_slots_paired_once_per_code(monkeypatch):
     # a move hands its renumbering's slot pairing to the new code, and
-    # parse_pd pairs the slots as it counts the labels: no _mates pass
+    # parse_pd and PdCode pair the slots as they count the labels
     calls = Counter()
-    for name in ("_sorted_slots", "_mates", "_label_counts"):
+    for name in ("_sorted_slots", "_label_counts"):
         def counted(*args, _name=name, _real=getattr(dia, name)):
             calls[_name] += 1
             return _real(*args)
@@ -129,6 +129,9 @@ def test_slots_paired_once_per_code(monkeypatch):
     calls.clear()
     assert [parse_pd(t) for t in texts] == codes
     assert calls == {"_sorted_slots": len(texts)}
+    calls.clear()
+    assert [PdCode(c.crossings) for c in codes] == codes
+    assert calls == {"_sorted_slots": len(codes)}
 
 
 def test_one_diagram_per_variant(monkeypatch):

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foxcolor.diagram import (MOVE_KINDS, MoveError, MoveSite, PdCode, PdError, R1_DELETE,
-                              R1_INSERT, R2_DELETE, R2_INSERT, R3, _faces, _genus, _mates,
-                              apply_move, apply_move_pd, build_diagram, catalog, catalog_names,
-                              parse_pd, random_move_site_pd, random_variants)
+                              R1_INSERT, R2_DELETE, R2_INSERT, R3, _faces, _genus, apply_move,
+                              apply_move_pd, build_diagram, catalog, catalog_names, parse_pd,
+                              random_move_site_pd, random_variants)
+from foxcolor.cli import main
 from foxcolor.coloring import profile
+
+from slot_oracle import _mates
 
 TREFOIL = "[[1,4,2,5],[3,6,4,1],[5,2,6,3]]"
 FIGURE8 = "[[4,2,5,1],[8,6,1,5],[6,3,7,4],[2,7,3,8]]"
@@ -104,6 +107,10 @@ class TestParse:
             (((1, 2, -1, 2),), "edge label -1 is not a positive integer"),
             (((1, 2, 1.0, 2),), "edge label 1.0 is not a positive integer"),
             (((1, 2, 3),), r"crossing \(1, 2, 3\) is not a quadruple"),
+            # a list is neither hashable nor equal to the tuple parse_pd gives
+            (((1, 4, 2, 5), [3, 6, 4, 1], (5, 2, 6, 3)), r"crossing \[3, 6, 4, 1\] is not a tuple"),
+            ([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]], r"crossings \[\[1, 4, 2, 5\], .* are not a tuple"),
+            ([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)], r"crossings \[\(1, 4, 2, 5\), .* are not a tuple"),
         ]:
             with pytest.raises(PdError, match=message):
                 PdCode(crossings)
@@ -257,6 +264,17 @@ class TestR1:
         tre = build_diagram(catalog("3_1"))
         with pytest.raises(MoveError):
             apply_move(tre, MoveSite("R1_insert", (99,)))
+
+    @pytest.mark.parametrize("edge", [0, 2, 99, -1])
+    def test_unknot_has_only_edge_1(self, capsys, edge):
+        # the crossing-free unknot's one edge is 1, as random_move_site_pd draws it
+        unknot = parse_pd("unknot")
+        for over in (False, True):
+            with pytest.raises(MoveError, match=f"edge {edge} does not exist in the diagram"):
+                apply_move_pd(unknot, MoveSite(R1_INSERT, (edge,), over))
+        assert main(["moves", "unknot", "--site", f"R1_insert:{edge}"]) == 1
+        assert "does not exist" in capsys.readouterr().err
+        assert main(["moves", "unknot", "--site", "R1_insert:1"]) == 0
 
 
 class TestR2:

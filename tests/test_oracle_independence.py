@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-ORACLES = ("smith_oracle.py", "coloring_oracle.py", "quandle_oracle.py", "goeritz_oracle.py")
+ORACLES = ("smith_oracle.py", "coloring_oracle.py", "quandle_oracle.py", "goeritz_oracle.py",
+           "slot_oracle.py")
 DATA_TYPES = {"IntegerMatrix", "Coloring", "EnumerationBudgetError"}
 
 

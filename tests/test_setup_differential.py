@@ -25,12 +25,13 @@ import pytest
 from foxcolor.coloring import coloring_matrix
 from foxcolor.diagram import (_MOVE_HANDLERS, MOVE_KINDS, R1_DELETE, R1_INSERT, R2_DELETE,
                               R2_INSERT, R3, MoveError, MoveSite, PdCode, PdError, PlanarDiagram,
-                              _components, _faces, _genus, _is_label, _label_counts, _mates,
+                              _components, _faces, _genus, _is_label, _label_counts,
                               _renumber, apply_move_pd,
                               build_diagram, catalog, catalog_names, parse_pd,
                               random_move_site_pd, random_variants)
 from foxcolor.linalg import IntegerMatrix
 
+from slot_oracle import _mates
 from test_diagram import constructed_r3_sites
 from test_parse_fuzz import fuzz_inputs
 
