@@ -205,6 +205,10 @@ def _parse_site(spec: str) -> dia.MoveSite:
 
 def cmd_analyze(args) -> int:
     label, d = _resolve_target(args.target)
+    m = args.mod
+    if m is not None and m < 2:  # both --mod checks come before the Smith form
+        return _fail("--mod must be at least 2", EXIT_INPUT)
+    prime = m is not None and col.is_odd_prime(m)
     pr = col.profile(d)
     payload = {
         "target": label,
@@ -213,14 +217,11 @@ def cmd_analyze(args) -> int:
         "invariant_factors": list(pr.invariant_factors),
         "determinant": pr.determinant,
     }
-    if args.mod is not None:
-        m = args.mod
-        if m < 2:
-            return _fail("--mod must be at least 2", EXIT_INPUT)
+    if m is not None:
         payload["mod"] = m
         payload["colorings"] = total = pr.count(m)
         payload["nontrivial"] = total - m
-        if col.is_odd_prime(m):
+        if prime:
             payload["nullity"] = pr.nullity(m)
     if args.json:
         _emit_json(payload)

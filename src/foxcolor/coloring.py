@@ -79,31 +79,33 @@ class ColoringProfile:
         runs on the first call, for the columns of c the walk turns.  The
         list is built by _colorings, with no interpreter step per coloring.
         """
-        return self._walk(solve_mod, m, nontrivial_only, budget)
+        return _colorings(m, self._walk(solve_mod, m, nontrivial_only, budget, False))
 
-    def prime_colorings(self, p: int, nontrivial_only: bool = False,
-                        budget: int = ENUMERATION_BUDGET) -> list[Coloring]:
-        """The colorings of colorings(p), for an odd prime p, in another order.
+    def prime_words(self, p: int, nontrivial_only: bool = False,
+                    budget: int = ENUMERATION_BUDGET) -> list:
+        """The colorings of colorings(p), for an odd prime p, in another order,
+        as the words of ModularKernel.vectors: up to p = 256 bytes, above tuples.
 
         The walk runs over the kernel of unit_kernel, so no reference
-        elimination of the whole matrix runs; the budget check, the
-        skipped walk and the constant filter are those of colorings().
+        elimination of the whole matrix runs; the budget check, the skipped
+        walk and the constant filter, on words, are those of colorings().
         """
         if not is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
-        return self._walk(unit_kernel, p, nontrivial_only, budget)
+        return self._walk(unit_kernel, p, nontrivial_only, budget, True)
 
-    def _walk(self, kernel, m: int, nontrivial_only: bool, budget: int) -> list[Coloring]:
+    def _walk(self, kernel, m: int, nontrivial_only: bool, budget: int, words: bool) -> list:
         total = count_colorings(self.smith, m)
         if total > budget:
             raise EnumerationBudgetError(f"{total} colorings exceed budget {budget}")
         if nontrivial_only and total == m:
             return []
-        vectors = kernel(self.smith, m).vectors()
+        vectors = kernel(self.smith, m).vectors(words=words)
         if nontrivial_only:
             n = self.smith.shape[1]
-            vectors = filterfalse({(v,) * n for v in range(m)}.__contains__, vectors)
-        return _colorings(m, list(vectors))
+            word = bytes if words and m <= 256 else tuple
+            vectors = filterfalse({word((v,) * n) for v in range(m)}.__contains__, vectors)
+        return list(vectors)
 
 
 def _colorings(m: int, vectors: list[tuple[int, ...]]) -> list[Coloring]:

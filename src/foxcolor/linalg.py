@@ -38,7 +38,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
-from operator import mul
+from operator import itemgetter, mul
 
 
 @dataclass(frozen=True)
@@ -449,9 +449,9 @@ class ModularKernel:
     def count(self) -> int:
         return prod(self.sizes)
 
-    def vectors(self):
+    def vectors(self, words: bool = False):
         """An iterator over the solution vectors x in lexicographic order of the
-        free vector y.
+        free vector y; each an int tuple, or with words each a word.
 
         The order is that of itertools.product over the ranges
         range(0, modulus, steps[j]), one per coordinate j: coordinates
@@ -476,6 +476,10 @@ class ModularKernel:
         tuples; above m = 2^63 the lanes are wider than 8 bytes and
         int.from_bytes reads each one.
 
+        A word, what orbit_partition reads, is up to m = 256 the bytes of
+        the entries: 1-byte lanes (m <= 128) are cut as they stand, 2-byte
+        lanes keep their low bytes, block[0::2], first.  Above, the tuple.
+
         The fold runs on the call.  The walk is lazy at the first free
         coordinate only: it holds one block, count() / sizes[first] vectors
         at nb bytes per entry, and a caller that stops early (prime_classes'
@@ -483,13 +487,14 @@ class ModularKernel:
         block, only the packing of one shift per free coordinate runs once
         per entry of a vector, and the blocks' tuples are chained in C, with
         no frame resumed per vector.  A 0-row transform gives count() empty
-        tuples.
+        tuples, or empty words.
         """
         m = self.modulus
         rows = self.transform.entries
         n = len(rows)
+        words = words and m <= 256
         if not n:
-            return itertools.repeat((), self.count())
+            return itertools.repeat(b"" if words else (), self.count())
         nb = 1
         while 2 * m > 1 << 8 * nb:
             nb *= 2
@@ -517,6 +522,12 @@ class ModularKernel:
         block = bytes(width)
         for size, shift in reversed(free):
             block = b"".join(turn(block, size, shift))
+        blocks = turn(block, *lead)
+        if words:
+            if nb == 2:
+                blocks = map(itemgetter(slice(0, None, 2)), blocks)
+            cut = struct.Struct(f"{n}s").iter_unpack  # one 1-tuple per word
+            return itertools.chain.from_iterable(itertools.chain.from_iterable(map(cut, blocks)))
         if nb <= 8:
             unpack = struct.Struct(f"<{n}{'BHIQ'[nb.bit_length() - 1]}").iter_unpack
         else:
@@ -525,7 +536,7 @@ class ModularKernel:
                 entries = map(int.from_bytes, map(data.__getitem__, map(slice, cuts, cuts[1:])),
                               itertools.repeat("little"))
                 return zip(*[entries] * n)
-        return itertools.chain.from_iterable(map(unpack, turn(block, *lead)))
+        return itertools.chain.from_iterable(map(unpack, blocks))
 
 
 def solve_mod(sd: SmithDecomposition, modulus: int) -> ModularKernel:

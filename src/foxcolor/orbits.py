@@ -19,7 +19,8 @@ kernel over F_p that unit_kernel gives, without listing the colorings,
 building the group or eliminating the whole matrix.  orbit_partition
 partitions enumerated colorings under the whole group, one interpreter
 step per orbit; the classes command runs it at every modulus, and
-verify_counts keeps it as the independent brute-force check for primes.
+verify_counts keeps it as the independent brute-force check for primes,
+on the words of the kernel walk, with no Coloring object per coloring.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import chain, islice, repeat
 from math import gcd
 from operator import attrgetter, mod
 
-from .coloring import ColoringProfile, ENUMERATION_BUDGET, is_odd_prime, profile
+from .coloring import Coloring, ColoringProfile, ENUMERATION_BUDGET, is_odd_prime, profile
 from .diagram import PlanarDiagram, random_variants
 from .linalg import IntegerMatrix, ModularKernel, _rref_mod_p, unit_kernel
 
@@ -121,10 +122,12 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
     """Partition colorings into orbits under the group action.
 
     Expects the full set of non-trivial colorings for one diagram and
-    modulus; duplicates, a set not closed under the action, or a value
-    outside range(m) mean an upstream bug and raise ValueError, the last
-    before any orbit is formed.  Representatives are the lexicographically
-    least members and orbits are listed in representative order.
+    modulus: Coloring objects of the group's modulus, or the words of
+    ModularKernel.vectors(words=True).  Mixed input, duplicates, a set not
+    closed under the action, or a value outside range(m) mean an upstream
+    bug and raise ValueError, the last before any orbit is formed.
+    Representatives are the lexicographically least members and orbits
+    are listed in representative order.
 
     For m <= 256 each coloring is a bytes word, and a word's orbit is
     one bytes.translate per group element (GroupSpec.byte_tables, built
@@ -138,13 +141,19 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
     sorted by representative, as bytes order is tuple order.
     """
     m = group.modulus
-    colorings = list(colorings)
-    if set(map(attrgetter("modulus"), colorings)) - {m}:
-        raise ValueError("coloring modulus differs from group modulus")
-    words = list(map(attrgetter("values"), colorings))
+    words = list(colorings)
+    kinds = set(map(type, words))
+    unwrap = kinds == {Coloring}
+    if unwrap:
+        if set(map(attrgetter("modulus"), words)) - {m}:
+            raise ValueError("coloring modulus differs from group modulus")
+        words = list(map(attrgetter("values"), words))
+    elif kinds - {bytes if m <= 256 else tuple}:
+        raise ValueError("colorings must be all Coloring objects or all words")
     if m <= 256:
         try:
-            words = list(map(bytes, words))
+            if unwrap:
+                words = list(map(bytes, words))
             bad = b"".join(words).translate(None, bytes(range(m)))
         except ValueError:  # a value outside range(256)
             bad = True
@@ -152,7 +161,7 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
         def orbit_of(word):
             return set(map(word.translate, group.byte_tables))
     else:
-        bad = not all(map(range(m).__contains__, chain.from_iterable(words)))
+        bad = not all(map(range(m).__contains__, set(chain.from_iterable(words))))
 
         def orbit_of(word):
             return {tuple([(l * x + u) % m for x in word]) for l in group.lams for u in group.mus}
@@ -278,7 +287,7 @@ def verify_counts(d: PlanarDiagram, primes: Sequence[int], *, label: str = "diag
     Every prime is validated before any work.  The variants are built
     once and the diagram and each variant are decomposed once, by
     `profile`; every prime reads its nullity and its colorings from those
-    profiles, the colorings by prime_colorings, whose walk over
+    profiles, the colorings as the words of prime_words, whose walk over
     unit_kernel runs no reference elimination of the whole matrix.
     Returns one report per prime, in the order given.  Diagrams without
     non-trivial p-colorings (nullity < 2) verify vacuously with zero
@@ -307,18 +316,18 @@ def _verify_prime(base: ColoringProfile, others, p: int, label: str,
     groups: list[GroupSpec] = []
 
     def partitions(pr: ColoringProfile):
-        """Non-trivial p-colorings of one diagram and their aut and inn partitions.
+        """Non-trivial p-colorings of one diagram, as words, and their aut and inn partitions.
 
         The groups are built for the first diagram that has such a
         coloring, after its budget check bounds p; before that every
         partition is empty.
         """
-        colorings = pr.prime_colorings(p, nontrivial_only=True, budget=budget)
-        if colorings and not groups:
+        words = pr.prime_words(p, nontrivial_only=True, budget=budget)
+        if words and not groups:
             groups.extend((build_group(AUT, p), build_group(INN, p)))
         if not groups:
-            return colorings, OrbitPartition(()), OrbitPartition(())
-        return colorings, *(orbit_partition(colorings, g) for g in groups)
+            return words, OrbitPartition(()), OrbitPartition(())
+        return words, *(orbit_partition(words, g) for g in groups)
 
     nontrivial, aut, inn = partitions(base)
     expected_nontrivial = p ** n - p

@@ -153,6 +153,20 @@ class TestAnalyze:
         assert out == ""
         assert "prime" in err
 
+    @pytest.mark.parametrize("mod, message", [
+        ("1", "--mod must be at least 2"), ("-5", "--mod must be at least 2"),
+        ("3317044064679887385961981", "cannot decide whether 3317044064679887385961981 is prime")])
+    def test_mod_checked_before_smith_form(self, capsys, monkeypatch, mod, message):
+        # on a large diagram the Smith form takes seconds: a bad --mod exits first
+        def unreached(*args, **kwargs):
+            raise AssertionError("profile ran")
+
+        monkeypatch.setattr(cli.col, "profile", unreached)
+        code, out, err = run(capsys, "analyze", "3_1", "--mod", mod)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
     def test_nonplanar_pd_exit_1(self, capsys):
         code, out, err = run(capsys, "analyze", "[[1,2,1,2]]")
         assert code == 1

@@ -272,8 +272,9 @@ class TestEnumerate:
         assert pr.colorings(m) == want
         assert all(type(c) is Coloring for c in pr.colorings(m, nontrivial_only=True))
         if is_odd_prime(m):
-            assert sorted(pr.prime_colorings(m)) == sorted(want)
-            assert all(type(c) is Coloring for c in pr.prime_colorings(m))
+            words = pr.prime_words(m)
+            assert sorted(map(tuple, words)) == sorted(w.values for w in want)
+            assert all(type(w) is bytes for w in words)  # the words of m <= 256
 
     def test_empty_list(self):
         assert _colorings(5, []) == []

@@ -221,14 +221,18 @@ class TestKernelWalk:
 
     @pytest.mark.parametrize("m", LANE_MODULI)
     def test_lane_boundaries(self, m):
-        # in order and stopped after every vector, against both references
+        # in order and stopped after every vector, against both references; the
+        # words are the bytes of each vector up to m = 256 and the tuple above
         for kernel in lane_kernels(m):
             expected = reference_vectors(kernel)
+            words = [bytes(v) for v in expected] if m <= 256 else expected
             assert list(kernel.vectors()) == list(reference_block_vectors(kernel)) == expected
+            assert list(kernel.vectors(words=True)) == words
             for stop in range(len(expected) + 1):
                 assert (list(itertools.islice(kernel.vectors(), stop))
                         == list(itertools.islice(reference_block_vectors(kernel), stop))
                         == expected[:stop])
+                assert list(itertools.islice(kernel.vectors(words=True), stop)) == words[:stop]
 
     def test_nontrivial_filter_keeps_walk_order(self):
         for d in KNOTS.values():
@@ -366,6 +370,35 @@ class TestOrbitPartition:
         assert orbit_partition(closed, group).sizes() == (6,)
         with pytest.raises(ValueError, match=r"range\(3\)"):
             orbit_partition(closed + [Coloring(3, (0, 1, -1))], group)
+
+    @pytest.mark.parametrize("m", (3, 127, 128, 255, 256, 257))
+    def test_words_like_colorings(self, m):
+        # verify partitions the walk's words, classes Coloring objects: the same
+        # orbits, and the same error for a duplicate, a set not closed under the
+        # group and a value >= m, which bytes words cannot hold at m = 256
+        def as_words(colorings):
+            return [bytes(c.values) if m <= 256 else c.values for c in colorings]
+
+        def error(colorings, group):
+            with pytest.raises(ValueError) as info:
+                orbit_partition(colorings, group)
+            return str(info.value)
+
+        for kind in (AUT, INN) if m <= 128 else (INN,):  # aut has 2^15 maps or more above
+            group = build_group(kind, m)
+            # closed: every a != b under aut; under inn, b - a = +-1, as x -> -x
+            # and the shifts keep it
+            steps = range(1, m) if kind == AUT else (1, m - 1)
+            pairs = [Coloring(m, (a, (a + k) % m)) for a in range(m) for k in steps]
+            lines = [Coloring(m, (a, (a + k) % m, (a + 2 * k) % m)) for a in range(m) for k in steps]
+            for colorings in (pairs, lines, []):
+                assert orbit_partition(as_words(colorings), group) == orbit_partition(colorings, group)
+            bad = [pairs + pairs[-1:], pairs[:-1]] + [pairs + [Coloring(m, (1, m))]] * (m != 256)
+            for colorings in bad:
+                assert error(as_words(colorings), group) == error(colorings, group)
+            for mixed in (pairs[:1] + as_words(pairs[1:]), as_words(pairs[:-1]) + pairs[-1:]):
+                assert "all Coloring objects or all" in error(mixed, group)
+        assert error(pairs + [Coloring(m, (1, m))], group) == f"coloring values must lie in range({m})"
 
     @pytest.mark.parametrize("kind", (AUT, INN))
     def test_invalid_input_raises_like_reference(self, kind):

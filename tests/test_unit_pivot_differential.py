@@ -30,7 +30,8 @@ from hypothesis import given, settings, strategies as st
 from smith_oracle import minor_gcd_factors, smith_check
 
 import foxcolor.linalg as linalg
-from foxcolor.coloring import coloring_matrix, extend_coloring, generating_arcs, profile
+from foxcolor.coloring import (Coloring, coloring_matrix, extend_coloring, generating_arcs,
+                               profile)
 from foxcolor.diagram import build_diagram, catalog, catalog_names, parse_pd, random_variants
 from foxcolor.linalg import IntegerMatrix, smith_normal_form, unit_kernel
 
@@ -194,7 +195,7 @@ def test_prime_kernel_lists_the_colorings(name):
     for p in PRIMES:
         got = kernel_set(smith_normal_form(coloring_matrix(d)), p)
         assert got == {c.values for c in pr.colorings(p)}, p
-        assert got == {c.values for c in pr.prime_colorings(p)}, p
+        assert got == set(map(tuple, pr.prime_words(p))), p
         if p ** d.n_arcs <= 10 ** 6:
             assert got == {c.values for c in brute_force_colorings(d, p)}, p
 
@@ -203,9 +204,9 @@ def test_prime_kernel_lists_the_colorings(name):
 def test_prime_colorings_leave_c_unbuilt(name):
     pr = profile(DIAGRAMS[name])
     for p in PRIMES:
-        walked = pr.prime_colorings(p, nontrivial_only=True)
+        walked = pr.prime_words(p, nontrivial_only=True)
         assert len(walked) == pr.count(p) - p
-        assert all(not c.is_trivial for c in walked)
+        assert all(not Coloring(p, tuple(w)).is_trivial for w in walked)
     assert "c" not in vars(pr.smith)
 
 

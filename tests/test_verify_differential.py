@@ -13,11 +13,12 @@ import pytest
 import foxcolor.coloring as coloring
 import foxcolor.orbits as orbits
 from foxcolor.coloring import ENUMERATION_BUDGET, enumerate_colorings, is_odd_prime, profile
-from foxcolor.diagram import build_diagram, catalog, catalog_names, random_variants
+from foxcolor.diagram import build_diagram, catalog, catalog_names, parse_pd, random_variants
 from foxcolor.orbits import (AUT, DEFAULT_SEED, INN, VerifyReport, build_group,
                              orbit_partition, predicted_class_count, verify_counts)
 
 KNOTS = {name: build_diagram(catalog(name)) for name in catalog_names()}
+UNLINK2 = "[[2,4,3,1],[3,4,2,1]]"  # two circles, one over the other: m^2 colorings at every m
 
 
 def _class_counts(d, p, budget):
@@ -131,3 +132,17 @@ def test_primes_validated_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match="odd prime, got 9"):
         verify_counts(KNOTS["9_40"], (3, 5, 9), variants=3)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["unlink2", "9_40"])
+@pytest.mark.parametrize("variants", [0, 1])
+def test_every_word_width(name, variants):
+    # verify partitions the walk's words: bytes cut from 1-byte lanes (127),
+    # low bytes of 2-byte lanes (131, 251), tuples above 256 (257); the
+    # reference partitions Coloring objects from enumerate_colorings
+    d = build_diagram(parse_pd(UNLINK2)) if name == "unlink2" else KNOTS[name]
+    primes = (127, 131, 251, 257)
+    got = verify_counts(d, primes, label=name, variants=variants)
+    want = tuple(reference_verify(d, p, label=name, variants=variants) for p in primes)
+    assert got == want
+    assert [r.nullity for r in got] == [2] * 4 if name == "unlink2" else [1] * 4
