@@ -7,7 +7,7 @@ from .diagram import (MoveError, MoveSite, PdCode, PdError, PlanarDiagram,
                       parse_pd, random_variants)
 from .linalg import (IntegerMatrix, ModularKernel, SmithDecomposition,
                      smith_normal_form, solve_mod, unit_kernel)
-from .coloring import (Coloring, ColoringProfile, EnumerationBudgetError,
+from .coloring import (Coloring, ColoringProfile, Colorings, EnumerationBudgetError,
                        coloring_matrix, count_colorings, enumerate_colorings,
                        extend_coloring, generating_arcs, link_determinant,
                        p_nullity, profile)
@@ -18,7 +18,7 @@ from .orbits import (GroupSpec, OrbitPartition, VerifyReport, build_group,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coloring", "ColoringProfile", "EnumerationBudgetError", "GroupSpec",
+    "Coloring", "ColoringProfile", "Colorings", "EnumerationBudgetError", "GroupSpec",
     "IntegerMatrix", "ModularKernel", "MoveError", "MoveSite", "OrbitPartition",
     "PdCode", "PdError", "PlanarDiagram", "SmithDecomposition",
     "VerifyReport", "apply_move",

@@ -20,7 +20,7 @@ import sys
 from functools import cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from . import diagram as dia
 from . import coloring as col
@@ -55,8 +55,9 @@ def _int_rows(rows, indent: str):
 
 
 class _IntRows(list):
-    """Rows the kernel walk built: non-empty tuples of plain ints, which the
-    writer takes as such without scanning the type of every entry."""
+    """The words of a kernel walk (Colorings.words) as non-empty tuples of
+    plain ints, which the writer takes as such without scanning the type
+    of every entry."""
 
 
 class _IntRecords(list):
@@ -109,9 +110,10 @@ def _json_parts(obj, out: list, indent: str) -> None:
     type exactly int (not bool) through int.__repr__, anything else
     through json.dumps.  Three kinds of list are written in C, with no
     call per item: a list of plain ints by one join; a list of non-empty
-    lists of plain ints (the colorings enumerate lists, an _IntRows whose
-    entries are not scanned) as the rows of _int_rows; and a list of
-    records (the orbits classes lists) as the bodies of _record_bodies.
+    lists of plain ints (the words of the colorings enumerate lists, an
+    _IntRows whose entries are not scanned) as the rows of _int_rows; and
+    a list of records (the orbits classes lists) as the bodies of
+    _record_bodies.
     Rows and bodies are joined by one string that closes one item and
     opens the next.
     """
@@ -249,7 +251,7 @@ def cmd_classes(args) -> int:
     orb.check_group(args.group, args.mod)  # input errors first, then the budget, then the group
     nontrivial = col.enumerate_colorings(d, args.mod, nontrivial_only=True, budget=args.budget)
     group = orb.build_group(args.group, args.mod)
-    part = orb.orbit_partition(nontrivial, group)
+    part = orb.orbit_partition(nontrivial.words, group)
     payload = {
         "target": label,
         "mod": args.mod,
@@ -276,6 +278,8 @@ def cmd_enumerate(args) -> int:
     label, d = _resolve_target(args.target)
     if args.budget < 0:
         return _fail("--budget must be at least 0", EXIT_INPUT)
+    if args.mod < 2:  # before the Smith form
+        return _fail("modulus must be at least 2", EXIT_INPUT)
     colorings = col.enumerate_colorings(d, args.mod, nontrivial_only=not args.all,
                                         budget=args.budget)
     payload = {
@@ -283,7 +287,7 @@ def cmd_enumerate(args) -> int:
         "mod": args.mod,
         "nontrivial_only": not args.all,
         "count": len(colorings),
-        "colorings": _IntRows(map(attrgetter("values"), colorings)),
+        "colorings": _IntRows(map(tuple, colorings.words)),
     }
     if args.json:
         _emit_json(payload)
@@ -291,8 +295,8 @@ def cmd_enumerate(args) -> int:
     print(f"{label}  mod {args.mod}  {'all' if args.all else 'non-trivial'} colorings: {len(colorings)}")
     if colorings:
         print(f"arcs: {_arc_header(d)}")
-        for c in colorings:
-            print(" ".join(map(str, c.values)))
+        for word in colorings.words:
+            print(" ".join(map(str, word)))
     return EXIT_OK
 
 

@@ -6,14 +6,16 @@ on the arc variables.  Every diagram has a coloring matrix; the
 crossing-free one is the 0x1 matrix of its single arc.  The Smith form of
 that integer matrix yields the link determinant, the mod-p nullity, and
 exact coloring counts for any modulus; kernel enumeration produces the
-colorings themselves.  The oracle that shares no code with the Smith
-form, an exhaustive search over all m^arcs assignments, lives in
-tests/coloring_oracle.py.
+colorings themselves, as a Colorings sequence that holds the words of the
+walk and builds a Coloring only for an item that is read.  The oracle
+that shares no code with the Smith form, an exhaustive search over all
+m^arcs assignments, lives in tests/coloring_oracle.py.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import filterfalse, repeat
 from math import gcd, prod
@@ -65,8 +67,8 @@ class ColoringProfile:
         return count_colorings(self.smith, m)
 
     def colorings(self, m: int, nontrivial_only: bool = False,
-                  budget: int = ENUMERATION_BUDGET) -> list[Coloring]:
-        """All m-colorings in a deterministic order.
+                  budget: int = ENUMERATION_BUDGET) -> Colorings:
+        """All m-colorings in a deterministic order, as a Colorings sequence.
 
         The order is lexicographic in the kernel coordinates of the Smith
         form, so repeated runs (and parallel chunked runs) agree.  Every
@@ -74,48 +76,70 @@ class ColoringProfile:
         are always colorings.  With nontrivial_only, a count of exactly m
         therefore means no non-trivial coloring, and the walk is skipped;
         otherwise the constants are dropped as the walk yields them, by
-        lookup in the set of the m constant vectors.  The budget check
+        lookup in the set of the m constant words.  The budget check
         comes first either way.  The reference elimination of the matrix
         runs on the first call, for the columns of c the walk turns.  The
-        list is built by _colorings, with no interpreter step per coloring.
+        sequence holds the words of the walk; no Coloring is built until
+        an item is read.
         """
-        return _colorings(m, self._walk(solve_mod, m, nontrivial_only, budget, False))
+        return Colorings(m, self._walk(solve_mod, m, nontrivial_only, budget))
 
     def prime_words(self, p: int, nontrivial_only: bool = False,
                     budget: int = ENUMERATION_BUDGET) -> list:
-        """The colorings of colorings(p), for an odd prime p, in another order,
-        as the words of ModularKernel.vectors: up to p = 256 bytes, above tuples.
+        """The words of colorings(p).words, for an odd prime p, in another order.
 
         The walk runs over the kernel of unit_kernel, so no reference
         elimination of the whole matrix runs; the budget check, the skipped
-        walk and the constant filter, on words, are those of colorings().
+        walk and the constant filter are those of colorings().
         """
         if not is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
-        return self._walk(unit_kernel, p, nontrivial_only, budget, True)
+        return self._walk(unit_kernel, p, nontrivial_only, budget)
 
-    def _walk(self, kernel, m: int, nontrivial_only: bool, budget: int, words: bool) -> list:
+    def _walk(self, kernel, m: int, nontrivial_only: bool, budget: int) -> list:
         total = count_colorings(self.smith, m)
         if total > budget:
             raise EnumerationBudgetError(f"{total} colorings exceed budget {budget}")
         if nontrivial_only and total == m:
             return []
-        vectors = kernel(self.smith, m).vectors(words=words)
+        vectors = kernel(self.smith, m).vectors(words=True)
         if nontrivial_only:
             n = self.smith.shape[1]
-            word = bytes if words and m <= 256 else tuple
+            word = bytes if m <= 256 else tuple
             vectors = filterfalse({word((v,) * n) for v in range(m)}.__contains__, vectors)
         return list(vectors)
 
 
-def _colorings(m: int, vectors: list[tuple[int, ...]]) -> list[Coloring]:
-    """[Coloring(m, x) for x in vectors], with no __init__ call per vector: as in
-    IntegerMatrix.from_nonzeros, object.__new__ and the slot descriptors,
-    which the frozen __setattr__ does not guard, are mapped in C."""
-    out = list(map(object.__new__, repeat(Coloring, len(vectors))))
-    deque(map(Coloring.modulus.__set__, out, repeat(m)), 0)
-    deque(map(Coloring.values.__set__, out, vectors), 0)
-    return out
+class Colorings(Sequence):
+    """The m-colorings of one kernel walk, held as the walk's words.
+
+    `words` lists them as ModularKernel.vectors(words=True) cuts them:
+    bytes up to m = 256, int tuples above.  Iteration and indexing give
+    a Coloring per word, built on access; a slice gives a list of them.  A Colorings equals a list of the same Coloring objects
+    in the same order.  The verbs read `words` and build no Coloring.
+    """
+
+    __slots__ = ("modulus", "words")
+
+    def __init__(self, modulus: int, words: list):
+        self.modulus = modulus
+        self.words = words
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __iter__(self):
+        return map(Coloring, repeat(self.modulus), map(tuple, self.words))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(Colorings(self.modulus, self.words[i]))
+        return Coloring(self.modulus, tuple(self.words[i]))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, Colorings)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def coloring_matrix(d: PlanarDiagram) -> IntegerMatrix:
@@ -215,8 +239,8 @@ def count_colorings(sd: SmithDecomposition, m: int) -> int:
 
 
 def enumerate_colorings(d: PlanarDiagram, m: int, nontrivial_only: bool = False,
-                        budget: int = ENUMERATION_BUDGET) -> list[Coloring]:
-    """All m-colorings of the diagram; see ColoringProfile.colorings."""
+                        budget: int = ENUMERATION_BUDGET) -> Colorings:
+    """All m-colorings of the diagram, as a Colorings sequence; see ColoringProfile.colorings."""
     return profile(d).colorings(m, nontrivial_only, budget)
 
 

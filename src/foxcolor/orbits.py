@@ -20,7 +20,7 @@ building the group or eliminating the whole matrix.  orbit_partition
 partitions enumerated colorings under the whole group, one interpreter
 step per orbit; the classes command runs it at every modulus, and
 verify_counts keeps it as the independent brute-force check for primes,
-on the words of the kernel walk, with no Coloring object per coloring.
+both on the words of the kernel walk, with no Coloring object per coloring.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
 
     Expects the full set of non-trivial colorings for one diagram and
     modulus: Coloring objects of the group's modulus, or the words of
-    ModularKernel.vectors(words=True).  Mixed input, duplicates, a set not
+    ModularKernel.vectors(words=True), which the classes command passes
+    as Colorings.words and verify_counts as prime_words.  Mixed input, duplicates, a set not
     closed under the action, or a value outside range(m) mean an upstream
     bug and raise ValueError, the last before any orbit is formed.
     Representatives are the lexicographically least members and orbits

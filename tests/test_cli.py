@@ -14,7 +14,7 @@ import pytest
 import foxcolor
 from foxcolor import cli, orbits
 from foxcolor.cli import main
-from foxcolor.coloring import enumerate_colorings
+from foxcolor.coloring import Colorings, enumerate_colorings
 from foxcolor.diagram import build_diagram, catalog, parse_pd
 
 TREFOIL = "[[1,4,2,5],[3,6,4,1],[5,2,6,3]]"
@@ -166,6 +166,17 @@ class TestAnalyze:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("mod", ["1", "0"])
+    def test_enumerate_mod_checked_before_smith_form(self, capsys, monkeypatch, mod):
+        def unreached(*args, **kwargs):
+            raise AssertionError("profile ran")
+
+        monkeypatch.setattr(cli.col, "profile", unreached)
+        code, out, err = run(capsys, "enumerate", "3_1", "--mod", mod)
+        assert code == 1
+        assert out == ""
+        assert err == "error: modulus must be at least 2\n"
 
     def test_nonplanar_pd_exit_1(self, capsys):
         code, out, err = run(capsys, "analyze", "[[1,2,1,2]]")
@@ -679,6 +690,57 @@ def test_coloring_path_stdout_bytes(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COLORING_PATH_SHA256[argv]
+
+
+# sha256 of stdout before enumerate_colorings returned a Colorings: 9_40 at
+# m = 5 and 15, the Borromean rings' 2-byte lanes at 256, tuples at 263
+WORDS_PATH_TARGETS = {5: "9_40", 15: "9_40", 256: BORROMEAN, 263: "[[2,4,3,1],[3,4,2,1]]"}
+WORDS_PATH_SHA256 = {
+    (5, "classes", "--json"): "a6d17f4eed9eec8742d9b7abd4f553a5733dec7fd8f871a3cee54cdcdba1aaa3",
+    (5, "classes", "--group", "inn"):
+        "a6b3435f75e5bbc54cb4f54356fdeebd2b2b7ba30bcf0a4a124e27f7e8fec971",
+    (5, "enumerate", "--json"): "48ddf69da201154489a370d50734ca1d94ff8e5ea00ea914bcde6a812179dde2",
+    (5, "enumerate"): "3a2b527052921aaf3d577257406554dd8cfac2dea3de252d713b052e7f9622ee",
+    (5, "enumerate", "--all", "--json"):
+        "7d900938bbeb7305af2bd38600d44d9e416ce35677bd9e35c631a09feeab3097",
+    (15, "classes", "--json"): "e635553974c3e40dd96f72744c8f6af9f7f9d9c178fed607305ba4ea94177d74",
+    (15, "classes", "--group", "inn"):
+        "5ce10a326886acd7c7f38650bc50a96d73da2118f2aef34a1dda7c11ffa709d2",
+    (15, "enumerate", "--json"): "0bdf8c6ccece875f279512aba9a565ca8d5227f0a303c8e5513169e043f3388b",
+    (15, "enumerate"): "c32fc964b6a7c0d4559a91cc2b87aa804236f506abe33892ad36d081033e9d62",
+    (15, "enumerate", "--all", "--json"):
+        "a99d861a253f492031fbdf0a7bc9e2b47b94fb20d65a2eb6252083a711f3c23a",
+    (256, "classes", "--json"): "15fedc2a3bdde626e94beba58de96af9d862e0aa63e74c687544bd4181e0188c",
+    (256, "classes", "--group", "inn"):
+        "d58249c39729b881d547562597ac7bbb85edea31b3886d894fcde5a3becde5db",
+    (256, "enumerate", "--json"): "07780fa1675f8c24b87fc39b3c3c5e2d9aafd93fc658a1dfbff0f1a153ff6841",
+    (256, "enumerate"): "60030d05c12cfc496c52cf3455e15151dfe2cefa19f74658ea07fc49a9dd676f",
+    (256, "enumerate", "--all", "--json"):
+        "15d305f02373e7648fe40618afbc5178c4a9656a7e9a8ca1180e3caa64805659",
+    (263, "classes", "--json"): "e131b258fd64b978f34de8c0647e439fa717da762bb72dca6dac6ee856d55493",
+    (263, "classes", "--group", "inn"):
+        "f1d34786fa8a4f71c8944c40888b1c466f3c242e69e938b1397e88c3fc032746",
+    (263, "enumerate", "--json"): "ae0bcbab746c8a6982f4a3af31ef9d4324fa818691c6d56145a60f10e4d7f65a",
+    (263, "enumerate"): "41e15a2844dbcdf08828509c2a9f1d18e982c890a90a611cf97a85e69ff7dd74",
+    (263, "enumerate", "--all", "--json"):
+        "1acba4cdcaa08c4722e116a6830a11126fe5603bc4e46a7b4fa30fc70ed054f4",
+}
+
+
+@pytest.mark.parametrize("key", list(WORDS_PATH_SHA256),
+                         ids=[" ".join(map(str, key)) for key in WORDS_PATH_SHA256])
+def test_verbs_build_no_coloring(capsys, monkeypatch, key):
+    # classes and enumerate read the walk's words; reading an item of the
+    # Colorings, the one way to build a Coloring from it, fails here
+    def no_item(*args):
+        raise AssertionError("a Coloring was built")
+
+    monkeypatch.setattr(Colorings, "__getitem__", no_item)
+    monkeypatch.setattr(Colorings, "__iter__", no_item)
+    m, verb, *flags = key
+    code, out, _ = run(capsys, verb, WORDS_PATH_TARGETS[m], "--mod", str(m), *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WORDS_PATH_SHA256[key]
 
 
 def test_usage_error_leaves_parser_reusable(capsys):

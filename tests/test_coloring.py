@@ -5,8 +5,8 @@ import pytest
 from coloring_oracle import brute_force_colorings
 from smith_oracle import det, identity, submatrix
 
-from foxcolor.coloring import (MILLER_RABIN_BOUND, Coloring, EnumerationBudgetError,
-                               _colorings, coloring_matrix, count_colorings,
+from foxcolor.coloring import (MILLER_RABIN_BOUND, Coloring, Colorings,
+                               EnumerationBudgetError, coloring_matrix, count_colorings,
                                enumerate_colorings, extend_coloring,
                                generating_arcs, is_odd_prime, link_determinant,
                                p_nullity, profile)
@@ -258,10 +258,11 @@ class TestEnumerate:
     @pytest.mark.parametrize("d, m", [(KNOT940, 15), (TREFOIL, 9), (FIGURE8, 10), (UNKNOT, 7),
                                       (KNOT940, 5)])
     def test_list_equals_dataclass_init(self, d, m):
-        # _colorings fills the slots without __init__; it must build what __init__ builds
+        # Colorings builds each item from a word of the walk; it must be what
+        # __init__ builds from the walk's tuple
         pr = profile(d)
         vectors = list(solve_mod(pr.smith, m).vectors())
-        got, want = _colorings(m, vectors), [Coloring(m, x) for x in vectors]
+        got, want = pr.colorings(m), [Coloring(m, x) for x in vectors]
         assert len(got) == len(want) == pr.count(m)
         for g, w in zip(got, want):
             assert type(g) is Coloring and g == w and hash(g) == hash(w)
@@ -269,7 +270,7 @@ class TestEnumerate:
                 g.values = w.values
             with pytest.raises(FrozenInstanceError):
                 g.modulus = m
-        assert pr.colorings(m) == want
+        assert got == want
         assert all(type(c) is Coloring for c in pr.colorings(m, nontrivial_only=True))
         if is_odd_prime(m):
             words = pr.prime_words(m)
@@ -277,7 +278,7 @@ class TestEnumerate:
             assert all(type(w) is bytes for w in words)  # the words of m <= 256
 
     def test_empty_list(self):
-        assert _colorings(5, []) == []
+        assert Colorings(5, []) == []
         assert profile(TREFOIL).colorings(5, nontrivial_only=True) == []
 
 

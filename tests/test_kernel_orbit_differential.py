@@ -404,7 +404,7 @@ class TestOrbitPartition:
     def test_invalid_input_raises_like_reference(self, kind):
         group = build_group(kind, 5)
         nontrivial = enumerate_colorings(KNOTS["9_40"], 5, nontrivial_only=True)
-        for bad in (nontrivial + nontrivial[:1], nontrivial[:-1], nontrivial[:7]):
+        for bad in (list(nontrivial) + nontrivial[:1], nontrivial[:-1], nontrivial[:7]):
             with pytest.raises(ValueError):
                 reference_partition(bad, group)
             with pytest.raises(ValueError):
