@@ -48,10 +48,10 @@ class _IntText(dict):
         return text
 
 
-def _int_rows(rows, indent: str):
-    """The text between the brackets of each row of plain ints, at this indent:
-    one join per row, in C, of strings built on first lookup."""
-    return map((",\n" + indent).join, map(map, repeat(_IntText().__getitem__), rows))
+def _int_rows(rows, sep: str):
+    """The text of each row of plain ints, its entries joined by sep: one
+    join per row, in C, of strings built on first lookup."""
+    return map(sep.join, map(map, repeat(_IntText().__getitem__), rows))
 
 
 class _IntRows(list):
@@ -93,7 +93,7 @@ def _record_bodies(obj, indent: str):
             text = {v: head + int.__repr__(v) for v in set(values)}
             columns.append(map(text.__getitem__, values))
         elif type(obj) is _IntRecords or _are_int_rows(values):
-            columns += (repeat(head + "[\n" + deeper), _int_rows(values, deeper),
+            columns += (repeat(head + "[\n" + deeper), _int_rows(values, ",\n" + deeper),
                         repeat("\n" + indent + "]"))
         else:
             return None
@@ -138,7 +138,7 @@ def _json_parts(obj, out: list, indent: str) -> None:
         if types == {dict}:
             start, end, bodies = "{", "}", _record_bodies(obj, deeper)
         elif trusted or _are_int_rows(obj):
-            start, end, bodies = "[", "]", _int_rows(obj, deeper)
+            start, end, bodies = "[", "]", _int_rows(obj, ",\n" + deeper)
         if bodies is not None:
             out += ("[\n" + inner + start + "\n" + deeper,
                     ("\n" + inner + end + ",\n" + inner + start + "\n" + deeper).join(bodies),
@@ -249,7 +249,8 @@ def cmd_classes(args) -> int:
     if args.budget < 0:
         return _fail("--budget must be at least 0", EXIT_INPUT)
     orb.check_group(args.group, args.mod)  # input errors first, then the budget, then the group
-    nontrivial = col.enumerate_colorings(d, args.mod, nontrivial_only=True, budget=args.budget)
+    # the orbits are sorted by representative, so the walk's order does not show
+    nontrivial = col.enumerate_colorings(d, args.mod, True, args.budget, ordered=False)
     group = orb.build_group(args.group, args.mod)
     part = orb.orbit_partition(nontrivial.words, group)
     payload = {
@@ -295,8 +296,7 @@ def cmd_enumerate(args) -> int:
     print(f"{label}  mod {args.mod}  {'all' if args.all else 'non-trivial'} colorings: {len(colorings)}")
     if colorings:
         print(f"arcs: {_arc_header(d)}")
-        for word in colorings.words:
-            print(" ".join(map(str, word)))
+        sys.stdout.write("\n".join(chain(_int_rows(colorings.words, " "), [""])))
     return EXIT_OK
 
 

@@ -67,7 +67,7 @@ class ColoringProfile:
         return count_colorings(self.smith, m)
 
     def colorings(self, m: int, nontrivial_only: bool = False,
-                  budget: int = ENUMERATION_BUDGET) -> Colorings:
+                  budget: int = ENUMERATION_BUDGET, ordered: bool = True) -> Colorings:
         """All m-colorings in a deterministic order, as a Colorings sequence.
 
         The order is lexicographic in the kernel coordinates of the Smith
@@ -77,37 +77,23 @@ class ColoringProfile:
         therefore means no non-trivial coloring, and the walk is skipped;
         otherwise the constants are dropped as the walk yields them, by
         lookup in the set of the m constant words.  The budget check
-        comes first either way.  The reference elimination of the matrix
-        runs on the first call, for the columns of c the walk turns.  The
-        sequence holds the words of the walk; no Coloring is built until
-        an item is read.
+        comes first either way.  The walk is over solve_mod, whose
+        elimination of the whole matrix runs on the first call; unordered,
+        over unit_kernel, the same colorings in another order with no
+        elimination.  The sequence holds the walk's words; no Coloring is
+        built until an item is read.
         """
-        return Colorings(m, self._walk(solve_mod, m, nontrivial_only, budget))
-
-    def prime_words(self, p: int, nontrivial_only: bool = False,
-                    budget: int = ENUMERATION_BUDGET) -> list:
-        """The words of colorings(p).words, for an odd prime p, in another order.
-
-        The walk runs over the kernel of unit_kernel, so no reference
-        elimination of the whole matrix runs; the budget check, the skipped
-        walk and the constant filter are those of colorings().
-        """
-        if not is_odd_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
-        return self._walk(unit_kernel, p, nontrivial_only, budget)
-
-    def _walk(self, kernel, m: int, nontrivial_only: bool, budget: int) -> list:
         total = count_colorings(self.smith, m)
         if total > budget:
             raise EnumerationBudgetError(f"{total} colorings exceed budget {budget}")
         if nontrivial_only and total == m:
-            return []
-        vectors = kernel(self.smith, m).vectors(words=True)
+            return Colorings(m, [])
+        vectors = (solve_mod if ordered else unit_kernel)(self.smith, m).vectors(words=True)
         if nontrivial_only:
             n = self.smith.shape[1]
             word = bytes if m <= 256 else tuple
             vectors = filterfalse({word((v,) * n) for v in range(m)}.__contains__, vectors)
-        return list(vectors)
+        return Colorings(m, list(vectors))
 
 
 class Colorings(Sequence):
@@ -239,9 +225,9 @@ def count_colorings(sd: SmithDecomposition, m: int) -> int:
 
 
 def enumerate_colorings(d: PlanarDiagram, m: int, nontrivial_only: bool = False,
-                        budget: int = ENUMERATION_BUDGET) -> Colorings:
+                        budget: int = ENUMERATION_BUDGET, ordered: bool = True) -> Colorings:
     """All m-colorings of the diagram, as a Colorings sequence; see ColoringProfile.colorings."""
-    return profile(d).colorings(m, nontrivial_only, budget)
+    return profile(d).colorings(m, nontrivial_only, budget, ordered)
 
 
 def _generators(d: PlanarDiagram | ColoringProfile, p: int) -> dict[int, list[int]]:

@@ -22,13 +22,13 @@ factors, determinants, nullities, counts and unit_kernel never run more.
 The reference elimination picks the nonzero of smallest absolute value,
 ties by lowest (row, col), and logs its column operations; _columns
 reads a log back as the columns of its transform that a caller walks.
-On the whole matrix it runs only when its log is first needed, and its
-factors are then checked against the unit-pivot ones.  Its pivot rule
-and output, factors and transform c entry for entry, are those of dense
-elimination, which tests/test_snf_differential.py keeps as the
-reference, and c fixes the order in which solve_mod lists the kernel at
-any modulus.  The oracles the tests hold this module to, the minor-gcd
-factors and dense determinants and products, live in tests/smith_oracle.py.
+Its pivot rule and output, factors and transform c entry for entry, are
+those of dense elimination, which tests/test_snf_differential.py keeps
+as the reference.  On the whole matrix it serves only the order in which
+solve_mod lists the kernel, which enumerate prints: it runs when its log
+is first needed, and its factors are then checked against the unit-pivot
+ones.  The oracles the tests hold this module to, the minor-gcd factors
+and dense determinants and products, live in tests/smith_oracle.py.
 """
 
 from __future__ import annotations

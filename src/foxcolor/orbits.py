@@ -6,21 +6,21 @@ Those permutations form Aut(R_m) of the dihedral quandle, exactly the
 affine maps x -> lam*x + mu with lam a unit; the inner subgroup is
 lam = +-1 (mu even when m is even).  A permutation that merely keeps the
 crossings of one coloring would make the classes its arc partitions by
-color, which Reidemeister moves do not preserve.  A GroupSpec holds the
-group as its lam and mu lists, and up to m = 256 its bytes.translate
-tables once read; above, orbits come from the lists alone.  Acting
-arcwise on the non-trivial m-colorings of a diagram, the orbits are the
-equivalence classes; for an odd prime p and nullity n the class counts
-have closed forms, verified here against brute-force orbit partitions.
+color, which Reidemeister moves do not preserve.  Acting arcwise on the
+non-trivial m-colorings of a diagram, the orbits are the equivalence
+classes; for an odd prime p and nullity n the class counts have closed
+forms, verified here against brute-force orbit partitions.
 
-For an odd prime the action is free, and prime_classes lists the sorted
-orbit representatives straight from the reduced echelon basis of the
-kernel over F_p that unit_kernel gives, without listing the colorings,
-building the group or eliminating the whole matrix.  orbit_partition
-partitions enumerated colorings under the whole group, one interpreter
-step per orbit; the classes command runs it at every modulus, and
-verify_counts keeps it as the independent brute-force check for primes,
-both on the words of the kernel walk, with no Coloring object per coloring.
+Every row of a coloring matrix sums to 0, so the translations x -> x + mu
+map colorings to colorings; they form a normal subgroup M that acts
+freely.  orbit_partition works through the quotient: each orbit is |M|
+translates of one orbit of the multipliers lam on the slice, the
+colorings whose arc 0 lies in range(m / |M|).  The classes command runs
+it at every modulus, and verify_counts keeps it as the independent
+brute-force check for primes, both on the words of the unit_kernel walk.
+At an odd prime the action is free, and prime_classes lists the sorted
+orbit representatives from the reduced echelon basis of the kernel over
+F_p, without listing the colorings or building the group.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from math import gcd
-from operator import attrgetter, mod
+from operator import attrgetter
 
 from .coloring import Coloring, ColoringProfile, ENUMERATION_BUDGET, is_odd_prime, profile
 from .diagram import PlanarDiagram, random_variants
@@ -45,9 +45,10 @@ VARIANT_MOVES = 3
 @dataclass(frozen=True)
 class GroupSpec:
     """The affine group x -> lam*x + mu of Z_m, or its inner subgroup, as
-    the lists of its lam and of its mu; every pair is one element, lam
-    ascending, then mu.  For m <= 256 orbit_partition reads byte_tables,
-    built on first read and cached; above, it reads the lists alone."""
+    the lists of its lam and of its mu; every pair is one element.  The mu
+    are the translations M, range(0, m, step), step 2 for inn at even m
+    and 1 otherwise.  For m <= 256 orbit_partition reads byte_tables, built
+    on first read and cached; above, it reads the lists alone."""
 
     kind: str
     modulus: int
@@ -59,20 +60,18 @@ class GroupSpec:
         return len(self.lams) * len(self.mus)
 
     @cached_property
-    def byte_tables(self) -> tuple[bytes, ...]:
-        """For m <= 256, each element as a bytes.translate table, lam
-        ascending, then mu: entry x is (lam*x + mu) % m for every byte x,
-        so the first m entries are the permutation.  Built in C: each mu
-        table is a slice of 0..m-1 repeated, each lam table its first m
-        entries repeated, and each element one translate of a lam table
-        by a mu table; on first use, and no part of equality or hashing."""
+    def byte_tables(self) -> tuple[tuple[bytes, ...], tuple[tuple[bytes, ...], ...]]:
+        """For m <= 256, (shifts, scales) as bytes.translate tables, whose
+        first m entries are the map: shifts[a] is x -> x - a + a % step in
+        M, into the slice from arc 0 = a; scales[r] is x -> lam*(x - r) + r
+        for each lam, which keeps the slice words with arc 0 = r.  Built in
+        C on first use, and no part of equality or hashing."""
         m = self.modulus
-        cycle = bytes(range(m)) * (512 // m + 1)
-        adds = [cycle[u:u + 256] for u in self.mus]
-        copies = 256 // m + 1
-        return tuple(chain.from_iterable(
-            map((bytes(map(mod, range(0, m * l, l), repeat(m))) * copies)[:256].translate, adds)
-            for l in self.lams))
+        step = self.mus[1] - self.mus[0]
+        cycle = bytes(range(m)) * 257  # entry i is i % m, up to i = m + 255 * (m - 1)
+        shifts = tuple([cycle[s:s + 256] for u in self.mus for s in [-u % m] * step])
+        return shifts, tuple([tuple([cycle[c:c + 256 * l:l] for l in self.lams
+                                     for c in [(r - l * r) % m]]) for r in range(step)])
 
 
 def check_group(kind: str, m: int) -> str:
@@ -123,23 +122,23 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
 
     Expects the full set of non-trivial colorings for one diagram and
     modulus: Coloring objects of the group's modulus, or the words of
-    ModularKernel.vectors(words=True), which the classes command passes
-    as Colorings.words and verify_counts as prime_words.  Mixed input, duplicates, a set not
-    closed under the action, or a value outside range(m) mean an upstream
-    bug and raise ValueError, the last before any orbit is formed.
-    Representatives are the lexicographically least members and orbits
-    are listed in representative order.
+    ModularKernel.vectors(words=True), as classes and verify_counts pass
+    them.  Mixed input, words of unequal length, duplicates, a set not
+    closed under the action, or a value outside range(m) raise ValueError,
+    the value before any table is built.  Orbits are listed as their
+    least member and size, in that member's order.
 
-    For m <= 256 each coloring is a bytes word, and a word's orbit is
-    one bytes.translate per group element (GroupSpec.byte_tables, built
-    once per group, on the first call that gets a coloring, and shared
-    by every later partition under it; an empty input never builds
-    them).  Above, a word's orbit is (lam*x + mu) % m over the word for
-    every lam and mu of the group, so memory grows with one orbit, not
-    with |G| * m.  The loop takes any word not yet reached, maps it to
-    its whole orbit, and keeps the orbit's least member and size, so it
-    steps once per orbit, at O(|G| * arcs) each; the orbits are then
-    sorted by representative, as bytes order is tuple order.
+    Each word is translated into the slice (see the module) by the map
+    its arc 0 picks; words without duplicates are closed under the free
+    M exactly when they are |M| times their slice words.  One step per
+    orbit maps a slice word by every lam back into the slice; the images
+    but the word itself must be unseen slice words, or the set is not
+    closed.  The least image is the least member, as every member has a
+    translate in the slice not above it, and the size is |M| times the
+    images' number.  A word is bytes up to m = 256, each map one
+    bytes.translate (GroupSpec.byte_tables, built by the first call that
+    gets a word with an arc), and a tuple above.  A word with no arc is
+    an orbit of size 1.
     """
     m = group.modulus
     words = list(colorings)
@@ -155,30 +154,45 @@ def orbit_partition(colorings, group: GroupSpec) -> OrbitPartition:
         try:
             if unwrap:
                 words = list(map(bytes, words))
-            bad = b"".join(words).translate(None, bytes(range(m)))
+            joined = b"".join(words)
+            bad = joined.translate(None, bytes(range(m)))
         except ValueError:  # a value outside range(256)
             bad = True
-
-        def orbit_of(word):
-            return set(map(word.translate, group.byte_tables))
     else:
         bad = not all(map(range(m).__contains__, set(chain.from_iterable(words))))
-
-        def orbit_of(word):
-            return {tuple([(l * x + u) % m for x in word]) for l in group.lams for u in group.mus}
     if bad:
         raise ValueError(f"coloring values must lie in range({m})")
-    pool = set(words)
-    if len(pool) != len(words):
+    lengths = set(map(len, words))
+    if len(lengths) > 1:
+        raise ValueError("colorings differ in their number of arcs")
+    if len(set(words)) != len(words):
         raise ValueError("duplicate colorings in input")
+    if lengths <= {0}:
+        return OrbitPartition((((), 1),) * len(words))
+    k = len(group.mus)
+    if m <= 256:
+        shifts, scales = group.byte_tables
+        sliced = set(map(bytes.translate, words, map(shifts.__getitem__, joined[::len(words[0])])))
+
+        def images(word):
+            return set(map(word.translate, scales[word[0]]))
+    else:
+        step = group.mus[1] - group.mus[0]
+        sliced = {tuple([(x - u) % m for x in w]) for w in words for u in [w[0] - w[0] % step]}
+
+        def images(word):
+            r = word[0]
+            return {tuple([(l * (x - r) + r) % m for x in word]) for l in group.lams}
+    if len(sliced) * k != len(words):
+        raise ValueError("input is not closed under the group action")
     found = []
-    unseen = set(pool)
-    while unseen:
-        orbit = orbit_of(unseen.pop())
-        if not orbit <= pool:
+    while sliced:
+        orbit = images(sliced.pop())
+        left = len(sliced)
+        sliced -= orbit
+        if left - len(sliced) != len(orbit) - 1:
             raise ValueError("input is not closed under the group action")
-        unseen -= orbit
-        found.append((min(orbit), len(orbit)))
+        found.append((min(orbit), k * len(orbit)))
     found.sort()
     return OrbitPartition(tuple((tuple(word), size) for word, size in found))
 
@@ -288,8 +302,8 @@ def verify_counts(d: PlanarDiagram, primes: Sequence[int], *, label: str = "diag
     Every prime is validated before any work.  The variants are built
     once and the diagram and each variant are decomposed once, by
     `profile`; every prime reads its nullity and its colorings from those
-    profiles, the colorings as the words of prime_words, whose walk over
-    unit_kernel runs no reference elimination of the whole matrix.
+    profiles, the colorings as the words of colorings(p, ordered=False),
+    whose walk over unit_kernel runs no elimination of the whole matrix.
     Returns one report per prime, in the order given.  Diagrams without
     non-trivial p-colorings (nullity < 2) verify vacuously with zero
     classes, and a prime at which neither the diagram nor any variant has
@@ -323,7 +337,7 @@ def _verify_prime(base: ColoringProfile, others, p: int, label: str,
         coloring, after its budget check bounds p; before that every
         partition is empty.
         """
-        words = pr.prime_words(p, nontrivial_only=True, budget=budget)
+        words = pr.colorings(p, True, budget, ordered=False).words
         if words and not groups:
             groups.extend((build_group(AUT, p), build_group(INN, p)))
         if not groups:

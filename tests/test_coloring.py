@@ -273,7 +273,7 @@ class TestEnumerate:
         assert got == want
         assert all(type(c) is Coloring for c in pr.colorings(m, nontrivial_only=True))
         if is_odd_prime(m):
-            words = pr.prime_words(m)
+            words = pr.colorings(m, ordered=False).words
             assert sorted(map(tuple, words)) == sorted(w.values for w in want)
             assert all(type(w) is bytes for w in words)  # the words of m <= 256
 

@@ -1,15 +1,17 @@
 """Differential tests: the lane-packed kernel walk, the non-trivial
-filter and the linear orbit partition against the code they replaced.
+filter and the orbit partition through the quotient by translations
+against the code they replaced.
 
 ModularKernel.vectors used to form c @ y afresh for every y of
 itertools.product over the ranges range(0, m, step), one per kernel
 step, and then to shift a block kept as a flat list of ints;
 orbit_partition used to map every coloring through every group element
 and to take the least member of each orbit.  All must give the same
-results in the same order, and a walk stopped early must stop at the
-same vector.  The old code below is the reference and lives only here;
-it maps colorings through the group that quandle_oracle lists from the
-definition, not through build_group.
+results in the same order, a walk stopped early must stop at the same
+vector, and input the partition rejects must be rejected by both.  The
+old code below is the reference and lives only here; it maps colorings
+through the group that quandle_oracle lists from the definition, not
+through build_group, wherever those tables fit in memory.
 """
 
 import itertools
@@ -19,12 +21,13 @@ from operator import add, mod
 
 import pytest
 from quandle_oracle import color_group, relabel
+from test_class_reps_differential import torus_sum_pd
 from test_oracle_differential import LINKS
 
 from foxcolor.cli import EXIT_BUDGET, main
 from foxcolor.coloring import (Coloring, EnumerationBudgetError, coloring_matrix,
                                enumerate_colorings, profile)
-from foxcolor.diagram import build_diagram, catalog, catalog_names, parse_pd
+from foxcolor.diagram import build_diagram, catalog, catalog_names, parse_pd, random_variants
 from foxcolor.linalg import IntegerMatrix, ModularKernel, smith_normal_form, solve_mod
 from foxcolor.orbits import AUT, INN, build_group, orbit_partition
 
@@ -34,6 +37,15 @@ LANE_MODULI = (2, 3, 127, 128, 129, 255, 256, 257, 2 ** 15 - 1, 2 ** 15 + 1, 2 *
                2 ** 31 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 + 13)
 KNOTS = {name: build_diagram(catalog(name)) for name in catalog_names()}
 LINK_DIAGRAMS = {name: build_diagram(parse_pd(code)) for name, (code, _, _) in LINKS.items()}
+# what the quotient partition is held to: the catalog, the links, torus sums
+# and seeded move variants
+PARTITIONED = {**KNOTS, **LINK_DIAGRAMS,
+               **{f"T(2,{q})^#{k}": build_diagram(parse_pd(torus_sum_pd(k, q)))
+                  for k, q in ((2, 3), (3, 3), (2, 5), (2, 4), (3, 4))},
+               **{f"{name}~{i}": v for name, seed in (("9_40", 5), ("borromean", 7))
+                  for i, v in enumerate(random_variants(
+                      KNOTS.get(name) or LINK_DIAGRAMS[name], 2, 4, seed=seed))}}
+PARTITIONED_PROFILES = {name: profile(d) for name, d in PARTITIONED.items()}
 
 
 def reference_vectors(kernel: ModularKernel) -> list[tuple[int, ...]]:
@@ -104,22 +116,45 @@ def lane_kernels(m: int):
 
 
 def reference_partition(colorings, group) -> list[tuple[tuple[int, ...], int]]:
-    """(representative values, size) of each orbit, in representative order."""
+    """(representative values, size) of each orbit, in representative order.
+
+    Takes Coloring objects or words (bytes or int tuples), not both.  The
+    least coloring not yet reached is mapped through every element of the
+    group: the tables quandle_oracle lists from the definition, for a group
+    of up to 2^15 maps, and above, where the tables of every element would
+    not fit, x -> lam*x + mu over the group's lists.
+    """
+    m = group.modulus
     colorings = list(colorings)
+    if len({isinstance(c, Coloring) for c in colorings}) > 1:
+        raise ValueError("colorings must be all Coloring objects or all words")
+    colorings = [c.values if isinstance(c, Coloring) else tuple(c) for c in colorings]
+    if any(v not in range(m) for c in colorings for v in c):
+        raise ValueError(f"coloring values must lie in range({m})")
+    if len(set(map(len, colorings))) > 1:
+        raise ValueError("colorings differ in their number of arcs")
     pool = set(colorings)
     if len(pool) != len(colorings):
         raise ValueError("duplicate colorings in input")
+    if group.size <= 2 ** 15:
+        tables = color_group(group.kind, m)
+
+        def orbit_of(values):
+            return {relabel(t, values) for t in tables}
+    else:
+        def orbit_of(values):
+            return {tuple([(lam * x + mu) % m for x in values])
+                    for lam in group.lams for mu in group.mus}
     orbits = []
-    seen: set[Coloring] = set()
+    seen: set[tuple[int, ...]] = set()
     for c in sorted(colorings):
         if c in seen:
             continue
-        orbit = {Coloring(c.modulus, relabel(t, c.values))
-                 for t in color_group(group.kind, group.modulus)}
+        orbit = orbit_of(c)
         if not orbit <= pool:
             raise ValueError("input is not closed under the group action")
         seen |= orbit
-        orbits.append((min(orbit).values, len(orbit)))
+        orbits.append((min(orbit), len(orbit)))
     return orbits
 
 
@@ -409,3 +444,104 @@ class TestOrbitPartition:
                 reference_partition(bad, group)
             with pytest.raises(ValueError):
                 orbit_partition(bad, group)
+
+
+def assert_partitions_like_reference(colorings, rng, kinds=(AUT, INN)):
+    """Under each group: the walk's words sorted, as walked and shuffled, and
+    their Coloring objects, against the reference; bytes words up to m = 256,
+    int tuples above."""
+    m = colorings.modulus
+    words = colorings.words
+    inputs = (sorted(words), words, rng.sample(words, len(words)), list(colorings))
+    for kind in kinds:
+        group = build_group(kind, m)
+        expected = reference_partition(words, group)
+        for given in inputs:
+            assert list(orbit_partition(given, group).orbits) == expected
+
+
+def rejected_sets(m: int, d: int):
+    """Sets of pairs mod m that both partitions must reject, as int tuples,
+    each beside the closed set it spoils.
+
+    closed holds (a, a + lam*d) for every a and unit lam; every affine map
+    keeps it, as it scales b - a by a unit.  The pairs (a, a + 1) are closed
+    under the translations but not under x -> -x.  closed without its
+    greatest word, whose arc 0 is m - 1, keeps the slice whole but misses a
+    translate, and a duplicate in that word's place keeps the count too.
+    Pairs beside triples are closed, but of unequal lengths.
+    """
+    units = [lam for lam in range(1, m) if math.gcd(lam, m) == 1]
+    closed = sorted({(a, (a + lam * d) % m) for a in range(m) for lam in units})
+    return closed, {
+        "duplicate": closed + closed[:1],
+        "duplicate for a translate": closed[:-1] + closed[:1],
+        "not under the multipliers": [(a, (a + 1) % m) for a in range(m)],
+        "missing a translate": closed[:-1],
+        "value m": closed + [(0, m)],
+        "unequal lengths": closed + [(a, a, a) for a in range(m)],
+    }
+
+
+def same_error(colorings, group) -> bool:
+    """Whether both partitions reject the colorings, with the same message."""
+    errors = []
+    for partition in (reference_partition, orbit_partition):
+        with pytest.raises(ValueError) as info:
+            partition(colorings, group)
+        errors.append(str(info.value))
+    return errors[0] == errors[1]
+
+
+class TestQuotientPartition:
+    """The partition through the quotient by translations against the reference,
+    at every m = 3..64 and at composite m up to 1 000."""
+
+    @pytest.mark.parametrize("m", range(3, 65))
+    def test_every_modulus_to_64(self, m):
+        rng = random.Random(m)
+        for pr in PARTITIONED_PROFILES.values():
+            if pr.count(m) <= 20_000:
+                assert_partitions_like_reference(pr.colorings(m, nontrivial_only=True), rng)
+
+    @pytest.mark.parametrize("m", (100, 256, 300, 1000))
+    def test_composite_moduli(self, m):
+        # the reference maps each orbit through the whole group: at m = 1 000 the
+        # aut group's 400 000 maps, so there only sets of up to 4 000 colorings
+        rng = random.Random(m)
+        checked = 0
+        try:
+            for name, pr in PARTITIONED_PROFILES.items():
+                count = pr.count(m) - m
+                if 0 < count <= 10_000 and "~" not in name:
+                    kinds = (AUT, INN) if m < 1000 or count <= 4000 else (INN,)
+                    assert_partitions_like_reference(pr.colorings(m, nontrivial_only=True),
+                                                     rng, kinds)
+                    checked += 1
+        finally:
+            color_group.cache_clear()  # the aut tables at 256 and 300 hold about 70 MB
+        assert checked >= 5
+
+    @pytest.mark.parametrize("m, d", [(5, 1), (6, 3), (9, 3), (12, 4), (64, 32), (100, 50),
+                                      (256, 128), (300, 100), (1000, 500)])
+    def test_invalid_input_raises_in_both(self, m, d):
+        closed, rejected = rejected_sets(m, d)
+        try:
+            for kind in (AUT, INN):
+                group = build_group(kind, m)
+                as_words = bytes if m <= 256 else tuple
+                words = [as_words(c) for c in closed]
+                objects = [Coloring(m, c) for c in closed]
+                assert (list(orbit_partition(words, group).orbits)
+                        == list(orbit_partition(objects, group).orbits)
+                        == reference_partition(words, group))
+                for name, bad in rejected.items():
+                    given = [[Coloring(m, c) for c in bad]]
+                    if m < 256 or name != "value m":  # bytes hold no value 256
+                        given.append([as_words(c) for c in bad])
+                    for colorings in given:
+                        assert same_error(colorings, group), name
+                assert same_error(objects[:1] + words[1:], group)  # mixed input
+                assert orbit_partition([Coloring(m, ())], group).orbits == (((), 1),)
+        finally:
+            color_group.cache_clear()

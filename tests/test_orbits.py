@@ -8,7 +8,7 @@ from quandle_oracle import (affine_tables, automorphisms_by_search, color_group,
 from foxcolor.coloring import (Coloring, enumerate_colorings, extend_coloring,
                                generating_arcs, is_odd_prime, profile)
 from foxcolor.diagram import build_diagram, catalog, parse_pd, random_variants
-from foxcolor.orbits import (AUT, INN, GroupSpec, build_group, check_group, orbit_partition,
+from foxcolor.orbits import (AUT, INN, build_group, check_group, orbit_partition,
                              predicted_class_count, verify_counts)
 
 TREFOIL = build_diagram(catalog("3_1"))
@@ -25,6 +25,27 @@ def phi(m):
 def lam_mu(table):
     """(lam, mu) of the affine table x -> lam*x + mu: mu = t(0), lam = t(1) - t(0)."""
     return ((table[1] - table[0]) % len(table), table[0])
+
+
+def assert_byte_tables(group):
+    """Each shift and scale table against the one map x -> lam*x + mu it stands
+    for, which must be an element of the group."""
+    m = group.modulus
+    step = group.mus[1] - group.mus[0]
+    shifts, scales = group.byte_tables
+    assert len(shifts) == m and len(scales) == step
+    for a, table in enumerate(shifts):
+        # the translation by u takes arc 0 = a to a % step, into the slice
+        u = (a % step - a) % m
+        assert u in group.mus and len(table) == 256
+        assert table[:m] == bytes(range(u, m)) + bytes(range(u))
+    for r, tables in enumerate(scales):
+        # lam * x, translated back to keep r, the slice word's arc 0
+        assert len(tables) == len(group.lams)
+        for lam, table in zip(group.lams, tables):
+            u = (r - lam * r) % m
+            assert u in group.mus and len(table) == 256
+            assert table[:m] == bytes((lam * x + u) % m for x in range(m))
 
 
 class TestGroupAxioms:
@@ -73,25 +94,13 @@ class TestBuildGroup:
 
     @pytest.mark.parametrize("kind", [AUT, INN])
     def test_byte_tables_are_the_tables(self, kind):
-        for m in range(3, 41):
-            g = build_group(kind, m)
-            assert set(map(len, g.byte_tables)) == {256}
-            assert [t[:m] for t in g.byte_tables] == list(map(bytes, affine_tables(g)))
+        for m in range(3, 250):
+            assert_byte_tables(build_group(kind, m))
 
     @pytest.mark.parametrize("m", range(250, 257))
     def test_byte_tables_up_to_256(self, m):
-        inn = build_group(INN, m)
-        assert [t[:m] for t in inn.byte_tables] == list(map(bytes, affine_tables(inn)))
-        # the tables of the whole aut group would hold up to 62 750 tuples here:
-        # every lam is checked at every 16th mu, and every mu at every 16th lam
-        aut = build_group(AUT, m)
-        tables = aut.byte_tables
-        assert len(tables) == aut.size and set(map(len, tables)) == {256}
-        k = len(aut.mus)
-        for lams, mus in ((aut.lams, aut.mus[::16]), (aut.lams[::16], aut.mus)):
-            part = affine_tables(GroupSpec(AUT, m, lams, mus))
-            assert [tables[aut.lams.index(l) * k + u][:m]
-                    for l, u in itertools.product(lams, mus)] == list(map(bytes, part))
+        for kind in (AUT, INN):
+            assert_byte_tables(build_group(kind, m))
 
     def test_inn_subset_of_aut(self):
         for m in (3, 4, 7, 12):

@@ -195,7 +195,7 @@ def test_prime_kernel_lists_the_colorings(name):
     for p in PRIMES:
         got = kernel_set(smith_normal_form(coloring_matrix(d)), p)
         assert got == {c.values for c in pr.colorings(p)}, p
-        assert got == set(map(tuple, pr.prime_words(p))), p
+        assert got == set(map(tuple, pr.colorings(p, ordered=False).words)), p
         if p ** d.n_arcs <= 10 ** 6:
             assert got == {c.values for c in brute_force_colorings(d, p)}, p
 
@@ -204,7 +204,7 @@ def test_prime_kernel_lists_the_colorings(name):
 def test_prime_colorings_leave_c_unbuilt(name):
     pr = profile(DIAGRAMS[name])
     for p in PRIMES:
-        walked = pr.prime_words(p, nontrivial_only=True)
+        walked = pr.colorings(p, nontrivial_only=True, ordered=False).words
         assert len(walked) == pr.count(p) - p
         assert all(not Coloring(p, tuple(w)).is_trivial for w in walked)
     assert "c" not in vars(pr.smith)
