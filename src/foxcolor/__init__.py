@@ -5,7 +5,7 @@ color symmetries."""
 from .diagram import (MoveError, MoveSite, PdCode, PdError, PlanarDiagram,
                       apply_move, build_diagram, catalog, catalog_names,
                       parse_pd, random_variants)
-from .linalg import (IntegerMatrix, ModularKernel, SmithDecomposition,
+from .linalg import (IntegerMatrix, ModularKernel, SmithDecomposition, block_kernel,
                      smith_normal_form, solve_mod, unit_kernel)
 from .coloring import (Coloring, ColoringProfile, Colorings, EnumerationBudgetError,
                        coloring_matrix, count_colorings, enumerate_colorings,
@@ -21,7 +21,7 @@ __all__ = [
     "Coloring", "ColoringProfile", "Colorings", "EnumerationBudgetError", "GroupSpec",
     "IntegerMatrix", "ModularKernel", "MoveError", "MoveSite", "OrbitPartition",
     "PdCode", "PdError", "PlanarDiagram", "SmithDecomposition",
-    "VerifyReport", "apply_move",
+    "VerifyReport", "apply_move", "block_kernel",
     "build_diagram", "build_group", "catalog", "catalog_names",
     "coloring_matrix", "count_colorings",
     "enumerate_colorings", "extend_coloring", "generating_arcs",

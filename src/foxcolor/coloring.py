@@ -68,32 +68,35 @@ class ColoringProfile:
 
     def colorings(self, m: int, nontrivial_only: bool = False,
                   budget: int = ENUMERATION_BUDGET, ordered: bool = True) -> Colorings:
-        """All m-colorings in a deterministic order, as a Colorings sequence.
+        """All m-colorings as a Colorings sequence of the words of walk over
+        solve_mod: lexicographic in the kernel coordinates of the Smith
+        form, the elimination of the whole matrix running on the first
+        call.  Unordered, over unit_kernel: the same colorings in another
+        order, with no elimination."""
+        return Colorings(m, self.walk(solve_mod if ordered else unit_kernel, m,
+                                      nontrivial_only, budget))
 
-        The order is lexicographic in the kernel coordinates of the Smith
-        form, so repeated runs (and parallel chunked runs) agree.  Every
-        row of a coloring matrix sums to 0, so the m constant colorings
-        are always colorings.  With nontrivial_only, a count of exactly m
-        therefore means no non-trivial coloring, and the walk is skipped;
-        otherwise the constants are dropped as the walk yields them, by
-        lookup in the set of the m constant words.  The budget check
-        comes first either way.  The walk is over solve_mod, whose
-        elimination of the whole matrix runs on the first call; unordered,
-        over unit_kernel, the same colorings in another order with no
-        elimination.  The sequence holds the walk's words; no Coloring is
-        built until an item is read.
-        """
+    def walk(self, kernel, m: int, nontrivial_only: bool = False,
+             budget: int = ENUMERATION_BUDGET) -> list:
+        """The words of the walk of kernel(self.smith, m), a list: whole
+        colorings (solve_mod, unit_kernel) or their colors on the arcs no
+        unit pivot took (block_kernel; see the orbits module).  Every row
+        of a coloring matrix sums to 0, so the m constants are colorings:
+        with nontrivial_only, a count of m skips the walk, and otherwise
+        the m constant words of the walk's width are dropped by set
+        lookup.  The budget check comes first either way."""
         total = count_colorings(self.smith, m)
         if total > budget:
             raise EnumerationBudgetError(f"{total} colorings exceed budget {budget}")
         if nontrivial_only and total == m:
-            return Colorings(m, [])
-        vectors = (solve_mod if ordered else unit_kernel)(self.smith, m).vectors(words=True)
+            return []
+        ker = kernel(self.smith, m)
+        vectors = ker.vectors(words=True)
         if nontrivial_only:
-            n = self.smith.shape[1]
+            n = ker.transform.rows
             word = bytes if m <= 256 else tuple
             vectors = filterfalse({word((v,) * n) for v in range(m)}.__contains__, vectors)
-        return Colorings(m, list(vectors))
+        return list(vectors)
 
 
 class Colorings(Sequence):

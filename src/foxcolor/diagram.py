@@ -16,7 +16,7 @@ relation (under-arc, next under-arc, over-arc) that drives the coloring
 system.
 
 The crossing-free unknot cannot be written as a PD code; it is admitted
-through the special token "unknot" and carries a single arc, edge 1.
+through the special token "unknot": a single arc, frozenset(), no edge.
 
 Reidemeister moves rewrite PD codes (apply_move_pd).  A move finds an
 edge as its two slots, the first by one index over the labels and the

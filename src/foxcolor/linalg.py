@@ -17,7 +17,7 @@ pass pivots on none (Markowitz's rule of sparsest pivots first), so
 fill-in grows few rows.  Coloring matrices have three nonzeros per row
 and almost all invariant factors 1, so what is left without a unit is a
 small block, which the reference elimination diagonalizes.  Invariant
-factors, determinants, nullities, counts and unit_kernel never run more.
+factors, determinants, nullities, counts and both kernels never run more.
 
 The reference elimination picks the nonzero of smallest absolute value,
 ties by lowest (row, col), and logs its column operations; _columns
@@ -105,7 +105,7 @@ class SmithDecomposition:
     The matrix is kept as its shape and its rows' nonzeros (see
     IntegerMatrix.nonzeros); equality and hashing follow those alone.
     The invariant factors come from the unit-pivot elimination, and its
-    record stays here for unit_kernel: pivots lists (column, row) in
+    record stays here for the kernels it gives: pivots lists (column, row) in
     pivot order, each row a {col: value} dict as it stood when it
     pivoted, and block_ops logs the column operations on the block left
     without a unit, its columns renumbered in order.  col_ops, the whole
@@ -434,11 +434,12 @@ class ModularKernel:
     """Solutions of m @ x = 0 over Z/modZ as x = transform @ y (mod modulus),
     each y_i running over the multiples of steps[i], sizes[i] values.
 
-    solve_mod and unit_kernel list only the coordinates of size > 1, in
-    column order: a factor d gives gcd(d, mod) values of step
+    solve_mod, block_kernel and unit_kernel list only the coordinates of
+    size > 1, in column order: a factor d gives gcd(d, mod) values of step
     mod // gcd(d, mod), column positions past the diagonal acting as zero
-    factors.  The transform is the matching columns of c (solve_mod), or
-    of the block's transform carried through the pivot rows (unit_kernel).
+    factors.  The transform is the matching columns of c (solve_mod), of
+    the block's transform, one row per column no pivot took (block_kernel),
+    or of that carried through the pivot rows (unit_kernel).
     """
 
     modulus: int
@@ -548,30 +549,40 @@ def solve_mod(sd: SmithDecomposition, modulus: int) -> ModularKernel:
                          IntegerMatrix(n, len(free), _columns(sd.col_ops, n, free)))
 
 
+def block_kernel(sd: SmithDecomposition, modulus: int) -> ModularKernel:
+    """The kernel over Z/modulusZ on the columns no unit pivot took, ascending:
+    the columns of the block's transform (block_ops) that solve_mod would
+    take of c, reduced mod modulus, with no pivot row read.  unit_kernel
+    lifts it to the whole kernel, one to one."""
+    width = sd.shape[1] - len(sd.pivots)
+    steps, sizes, free = _free(sd.padded_factors()[len(sd.pivots):], modulus)
+    rows = tuple(tuple(v % modulus for v in row) for row in _columns(sd.block_ops, width, free))
+    return ModularKernel(modulus, steps, sizes, IntegerMatrix(width, len(free), rows))
+
+
 def unit_kernel(sd: SmithDecomposition, modulus: int) -> ModularKernel:
     """The kernel of the decomposed matrix over Z/modulusZ from the unit pivots.
 
-    The block left without a unit gives the columns of its transform
-    (block_ops) that solve_mod would take of c.  The pivot rows then set
+    block_kernel gives the kept columns' entries; the pivot rows then set
     their columns in reverse pivot order: a row with unit u at column j
     makes x_j = -u * (row @ x), as x_j is still 0 and every other column
     of the row was set before it; u * u = 1 makes this exact mod any
     modulus.  Entries are reduced mod modulus.  No reference elimination
     of the whole matrix runs.
     """
+    block = block_kernel(sd, modulus)
     nc = sd.shape[1]
-    keep = sorted(set(range(nc)).difference(j for j, _ in sd.pivots))
-    steps, sizes, free = _free(sd.padded_factors()[len(sd.pivots):], modulus)
+    kept = sorted(set(range(nc)).difference(j for j, _ in sd.pivots))
     basis = []
-    for column in zip(*_columns(sd.block_ops, len(keep), free)):
+    for column in zip(*block.transform.entries):
         x = [0] * nc
-        for j, v in zip(keep, column):
-            x[j] = v % modulus
+        for j, v in zip(kept, column):
+            x[j] = v
         for j, row in reversed(sd.pivots):
             x[j] = -row[j] * sum(map(mul, row.values(), map(x.__getitem__, row))) % modulus
         basis.append(x)
-    transform = IntegerMatrix(nc, len(free), tuple(zip(*basis)) if basis else ((),) * nc)
-    return ModularKernel(modulus, steps, sizes, transform)
+    transform = IntegerMatrix(nc, len(basis), tuple(zip(*basis)) if basis else ((),) * nc)
+    return ModularKernel(modulus, block.steps, block.sizes, transform)
 
 
 def _free(factors, modulus: int):

@@ -16,8 +16,11 @@ map colorings to colorings; they form a normal subgroup M that acts
 freely.  orbit_partition works through the quotient: each orbit is |M|
 translates of one orbit of the multipliers lam on the slice, the
 colorings whose arc 0 lies in range(m / |M|).  The classes command runs
-it at every modulus, and verify_counts keeps it as the independent
-brute-force check for primes, both on the words of the unit_kernel walk.
+it at every modulus on the words of the unit_kernel walk.  verify_counts
+keeps it as the independent brute-force check for primes, on the words
+of the block_kernel walk: the colors on the arcs no unit pivot took.
+They fix the coloring, are constant just when it is, and commute with
+every arcwise map, so orbit counts and sizes are those of the colorings.
 At an odd prime the action is free, and prime_classes lists the sorted
 orbit representatives from the reduced echelon basis of the kernel over
 F_p, without listing the colorings or building the group.
@@ -34,7 +37,7 @@ from operator import attrgetter
 
 from .coloring import Coloring, ColoringProfile, ENUMERATION_BUDGET, is_odd_prime, profile
 from .diagram import PlanarDiagram, random_variants
-from .linalg import IntegerMatrix, ModularKernel, _rref_mod_p, unit_kernel
+from .linalg import IntegerMatrix, ModularKernel, _rref_mod_p, block_kernel, unit_kernel
 
 AUT = "aut"
 INN = "inn"
@@ -302,8 +305,8 @@ def verify_counts(d: PlanarDiagram, primes: Sequence[int], *, label: str = "diag
     Every prime is validated before any work.  The variants are built
     once and the diagram and each variant are decomposed once, by
     `profile`; every prime reads its nullity and its colorings from those
-    profiles, the colorings as the words of colorings(p, ordered=False),
-    whose walk over unit_kernel runs no elimination of the whole matrix.
+    profiles, the colorings as the words of walk(block_kernel, p), a few
+    bytes each: no pivot row is read (see the module).
     Returns one report per prime, in the order given.  Diagrams without
     non-trivial p-colorings (nullity < 2) verify vacuously with zero
     classes, and a prime at which neither the diagram nor any variant has
@@ -337,7 +340,7 @@ def _verify_prime(base: ColoringProfile, others, p: int, label: str,
         coloring, after its budget check bounds p; before that every
         partition is empty.
         """
-        words = pr.colorings(p, True, budget, ordered=False).words
+        words = pr.walk(block_kernel, p, True, budget)
         if words and not groups:
             groups.extend((build_group(AUT, p), build_group(INN, p)))
         if not groups:

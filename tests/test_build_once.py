@@ -8,10 +8,13 @@ variant, one Smith form
 per profile however often generating_arcs and extend_coloring read it,
 and the reference Smith elimination of the whole matrix only where a
 verb lists colorings in its order, with no more of its transform than
-the walk turns.
+the walk turns.  verify partitions the block walk's words: it carries no
+kernel vector through the pivot rows and builds no Coloring, and its
+bytes stay those of the walk of whole colorings.
 Cached fields leave equality and hashing alone.
 """
 
+import hashlib
 from collections import Counter
 from functools import cached_property
 from itertools import product
@@ -20,9 +23,10 @@ import pytest
 
 import foxcolor.coloring as col
 import foxcolor.diagram as dia
+import foxcolor.linalg as linalg
 import foxcolor.orbits as orbits
 from foxcolor.cli import main
-from foxcolor.coloring import extend_coloring, generating_arcs, profile
+from foxcolor.coloring import Coloring, extend_coloring, generating_arcs, profile
 from foxcolor.diagram import PdCode, build_diagram, catalog, parse_pd, random_variants
 from foxcolor.linalg import SmithDecomposition, smith_normal_form
 from foxcolor.orbits import AUT, INN, GroupSpec, build_group, prime_classes, verify_counts
@@ -188,6 +192,45 @@ def test_reference_elimination_only_for_listing_order(monkeypatch, capsys, argv,
     assert len({id(sd) for sd in logs}) == diagrams
     # the walk builds only the columns it turns, never all of c
     assert all("c" not in vars(sd) for sd in logs)
+
+
+def test_verify_walks_the_block_and_builds_no_coloring(monkeypatch, capsys):
+    kernels = []
+    for module in (linalg, col, orbits):
+        def counted(sd, m, _real=module.unit_kernel):
+            kernels.append(sd)
+            return _real(sd, m)
+        monkeypatch.setattr(module, "unit_kernel", counted)
+    built = []
+    init = Coloring.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Coloring, "__init__", counted_init)
+    for argv in (["verify", "9_40", "--primes", "3,5,7,11"],
+                 ["verify", "[[2,4,3,1],[3,4,2,1]]", "--primes", "3,257", "--moves", "1"]):
+        assert main(argv) == 0
+    assert kernels == [] and built == []
+    assert main(["classes", "9_40", "--mod", "5"]) == 0
+    assert main(["classes", "9_40", "--mod", "15", "--group", "inn"]) == 0
+    capsys.readouterr()
+    assert len(kernels) == len({id(sd) for sd in kernels}) == 2
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "9_40", "--primes", "3,5,7,11,13"],
+     "970106d5c80728bc3cebe3cd9a3d992845b51322cc047d129da82444e53c994f"),
+    (["verify", "9_40", "--primes", "3,5", "--moves", "2", "--seed", "7", "--json"],
+     "4607f9a4b302258f6a4e6f45028138012c5925dcdb43c44f23c983b05c4ad72a"),
+    (["verify", "[[2,4,3,1],[3,4,2,1]]", "--primes", "3,127,131,257", "--moves", "1", "--json"],
+     "b31b791766297a79c83ccb8348747d6564aaa28cbc99d63b2e6c7dde26f3c8aa"),
+])
+def test_verify_bytes_of_the_whole_coloring_walk(capsys, argv, digest):
+    # digests of the output when verify partitioned the unit_kernel walk's words
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_prime_classes_run_no_reference_elimination(monkeypatch):
