@@ -10,13 +10,16 @@ colorings themselves, as a Colorings sequence that holds the words of the
 walk and builds a Coloring only for an item that is read.  The oracle
 that shares no code with the Smith form, an exhaustive search over all
 m^arcs assignments, lives in tests/coloring_oracle.py.
+
+Coloring and ColoringProfile are immutable records (see the record
+module); Coloring is slotted and ordered by (modulus, values).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import filterfalse, repeat
 from math import gcd, prod
 from operator import mul
@@ -24,6 +27,7 @@ from operator import mul
 from .diagram import PlanarDiagram
 from .linalg import (IntegerMatrix, SmithDecomposition, _rref_mod_p, smith_normal_form,
                      solve_mod, unit_kernel)
+from .record import Record
 
 ENUMERATION_BUDGET = 10 ** 6
 
@@ -35,12 +39,28 @@ class EnumerationBudgetError(RuntimeError):
     """The requested enumeration exceeds the configured budget."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Coloring:
-    """Assignment of residues mod `modulus` to arcs, indexed by arc column."""
+@total_ordering
+class Coloring(Record):
+    """Assignment of residues mod `modulus` to arcs, indexed by arc column.
 
-    modulus: int
-    values: tuple[int, ...]
+    Ordered as the tuple (modulus, values); slotted, so pickled through
+    __reduce__, as unpickling a slotted record would set its slots by
+    assignment."""
+
+    __slots__ = ("modulus", "values")
+    _compared = _shown = __slots__
+
+    def __init__(self, modulus: int, values: tuple[int, ...]):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "values", values)
+
+    def __reduce__(self):
+        return Coloring, (self.modulus, self.values)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.modulus, self.values) < (other.modulus, other.values)
+        return NotImplemented
 
     @property
     def is_trivial(self) -> bool:
@@ -52,13 +72,16 @@ class Coloring:
         return all((v[i] + v[k] - 2 * v[j]) % m == 0 for i, k, j in d.crossing_relations)
 
 
-@dataclass(frozen=True)
-class ColoringProfile:
+class ColoringProfile(Record):
     """Invariant factors of a diagram's coloring matrix and what they imply."""
 
-    invariant_factors: tuple[int, ...]
-    determinant: int
-    smith: SmithDecomposition
+    _compared = _shown = ("invariant_factors", "determinant", "smith")
+
+    def __init__(self, invariant_factors: tuple[int, ...], determinant: int,
+                 smith: SmithDecomposition):
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "determinant", determinant)
+        object.__setattr__(self, "smith", smith)
 
     def nullity(self, p: int) -> int:
         return p_nullity(self.smith, p)

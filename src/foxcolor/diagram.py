@@ -29,17 +29,21 @@ genus check reads these counts.  A PdCode keeps its faces, so choosing a
 move site reads them without tracing again.  A PlanarDiagram (arcs and
 relations) is built only where it is read: apply_move builds one per
 move, random_variants one per variant.
+
+PdCode, PlanarDiagram and MoveSite are immutable records (see the record
+module) whose __init__ runs their checks.  Only random_variants imports
+random, as the moves verb does, so importing the package leaves it out.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count
 from operator import ne
+
+from .record import Record
 
 UNKNOT_TOKEN = "unknot"
 
@@ -64,8 +68,7 @@ def _is_label(e) -> bool:
     return isinstance(e, int) and not isinstance(e, bool)
 
 
-@dataclass(frozen=True)
-class PdCode:
+class PdCode(Record):
     """Validated PD code: a tuple of 4-tuples whose labels are 1..E, each
     used exactly twice.
 
@@ -74,10 +77,11 @@ class PdCode:
     properties.  All three are outside equality and hashing.
     """
 
-    crossings: tuple[tuple[int, int, int, int], ...]
+    _compared = _shown = ("crossings",)
 
-    def __post_init__(self):
-        quads = self.crossings
+    def __init__(self, crossings: tuple[tuple[int, int, int, int], ...]):
+        object.__setattr__(self, "crossings", crossings)
+        quads = crossings
         if not isinstance(quads, tuple):
             raise PdError(f"crossings {quads!r} are not a tuple of quadruples")
         labels = list(chain.from_iterable(quads)) if set(map(type, quads)) == {tuple} else []
@@ -274,8 +278,7 @@ def parse_pd(text: str) -> PdCode:
     return _code(tuple(quads), mates)
 
 
-@dataclass(frozen=True)
-class PlanarDiagram:
+class PlanarDiagram(Record):
     """A PD code with its arcs and per-crossing relations.
 
     arcs is the partition of edge labels into over-strand classes, ordered
@@ -283,9 +286,13 @@ class PlanarDiagram:
     of arc indices (under-arc in, under-arc out, over-arc).
     """
 
-    pd: PdCode
-    arcs: tuple[frozenset[int], ...]
-    crossing_relations: tuple[tuple[int, int, int], ...]
+    _compared = _shown = ("pd", "arcs", "crossing_relations")
+
+    def __init__(self, pd: PdCode, arcs: tuple[frozenset[int], ...],
+                 crossing_relations: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "pd", pd)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "crossing_relations", crossing_relations)
 
     @property
     def n_arcs(self) -> int:
@@ -339,8 +346,7 @@ def build_diagram(pd: PdCode) -> PlanarDiagram:
     return PlanarDiagram(pd, tuple(map(frozenset, members)), relations)
 
 
-@dataclass(frozen=True)
-class MoveSite:
+class MoveSite(Record):
     """Where and how to apply a Reidemeister move.
 
     kind        one of R1_insert, R1_delete, R2_insert, R2_delete, R3
@@ -353,13 +359,14 @@ class MoveSite:
     over        for R1_insert, whether the strand passes over itself at the kink
     """
 
-    kind: str
-    edges: tuple[int, ...] = ()
-    over: bool = False
+    _compared = _shown = ("kind", "edges", "over")
 
-    def __post_init__(self):
-        if self.kind not in MOVE_KINDS:
-            raise MoveError(f"unknown move kind {self.kind!r}")
+    def __init__(self, kind: str, edges: tuple[int, ...] = (), over: bool = False):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "over", over)
+        if kind not in MOVE_KINDS:
+            raise MoveError(f"unknown move kind {kind!r}")
 
 
 def apply_move(d: PlanarDiagram, site: MoveSite) -> PlanarDiagram:
@@ -668,6 +675,7 @@ def random_variants(d: PlanarDiagram, count: int, moves_per_variant: int = 3,
     renumbered as by apply_move, and builds its diagram once at the end,
     so the variants equal those of chaining apply_move.
     """
+    import random  # only here, so that importing the package leaves it unloaded
     rng = random.Random(seed)
     variants = []
     for _ in range(count):

@@ -29,20 +29,25 @@ solve_mod lists the kernel, which enumerate prints: it runs when its log
 is first needed, and its factors are then checked against the unit-pivot
 ones.  The oracles the tests hold this module to, the minor-gcd factors
 and dense determinants and products, live in tests/smith_oracle.py.
+
+IntegerMatrix, SmithDecomposition and ModularKernel are immutable
+records (see the record module); their lazy parts, such as the dense
+entries of a matrix from from_nonzeros and the reference elimination's
+log, are written to the instance dict on first read.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
 from operator import itemgetter, mul
 
+from .record import Record
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+
+class IntegerMatrix(Record):
     """Immutable integer matrix, entries stored row-major.
 
     A matrix built by from_nonzeros holds only its rows' nonzeros and
@@ -50,16 +55,17 @@ class IntegerMatrix:
     them, so they follow (rows, cols, entries) either way.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    _compared = _shown = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        if any(len(row) != self.cols for row in self.entries):
+        if any(len(row) != cols for row in entries):
             raise ValueError("ragged rows")
 
     @classmethod
@@ -95,8 +101,7 @@ class IntegerMatrix:
         return tuple(tuple(itertools.compress(enumerate(row), row)) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """The Smith normal form of a matrix: its invariant factors d_i, and on
     demand a unimodular c with matrix @ c = u @ s for some unimodular u,
     s the diagonal of the d_i; so column i of matrix @ c is a multiple of
@@ -113,11 +118,19 @@ class SmithDecomposition:
     raises RuntimeError if the reference elimination's factors differ.
     """
 
-    shape: tuple[int, int]
-    nonzeros: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
-    invariant_factors: tuple[int, ...] = field(compare=False)
-    pivots: tuple[tuple[int, dict[int, int]], ...] = field(compare=False, repr=False)
-    block_ops: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    _compared = ("shape", "nonzeros")
+    _shown = ("shape", "invariant_factors")
+
+    def __init__(self, shape: tuple[int, int],
+                 nonzeros: tuple[tuple[tuple[int, int], ...], ...],
+                 invariant_factors: tuple[int, ...],
+                 pivots: tuple[tuple[int, dict[int, int]], ...],
+                 block_ops: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "nonzeros", nonzeros)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "block_ops", block_ops)
 
     @cached_property
     def col_ops(self) -> tuple[tuple[int, ...], ...]:
@@ -429,8 +442,7 @@ def _nondivisible(w: _Worker, s: int):
     return None
 
 
-@dataclass(frozen=True)
-class ModularKernel:
+class ModularKernel(Record):
     """Solutions of m @ x = 0 over Z/modZ as x = transform @ y (mod modulus),
     each y_i running over the multiples of steps[i], sizes[i] values.
 
@@ -442,10 +454,14 @@ class ModularKernel:
     or of that carried through the pivot rows (unit_kernel).
     """
 
-    modulus: int
-    steps: tuple[int, ...]
-    sizes: tuple[int, ...]
-    transform: IntegerMatrix
+    _compared = _shown = ("modulus", "steps", "sizes", "transform")
+
+    def __init__(self, modulus: int, steps: tuple[int, ...], sizes: tuple[int, ...],
+                 transform: IntegerMatrix):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "transform", transform)
 
     def count(self) -> int:
         return prod(self.sizes)

@@ -24,12 +24,14 @@ every arcwise map, so orbit counts and sizes are those of the colorings.
 At an odd prime the action is free, and prime_classes lists the sorted
 orbit representatives from the reduced echelon basis of the kernel over
 F_p, without listing the colorings or building the group.
+
+GroupSpec, OrbitPartition and VerifyReport are immutable records (see
+the record module).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from math import gcd
@@ -38,6 +40,7 @@ from operator import attrgetter
 from .coloring import Coloring, ColoringProfile, ENUMERATION_BUDGET, is_odd_prime, profile
 from .diagram import PlanarDiagram, random_variants
 from .linalg import IntegerMatrix, ModularKernel, _rref_mod_p, block_kernel, unit_kernel
+from .record import Record
 
 AUT = "aut"
 INN = "inn"
@@ -45,18 +48,20 @@ DEFAULT_SEED = 101
 VARIANT_MOVES = 3
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """The affine group x -> lam*x + mu of Z_m, or its inner subgroup, as
     the lists of its lam and of its mu; every pair is one element.  The mu
     are the translations M, range(0, m, step), step 2 for inn at even m
     and 1 otherwise.  For m <= 256 orbit_partition reads byte_tables, built
     on first read and cached; above, it reads the lists alone."""
 
-    kind: str
-    modulus: int
-    lams: tuple[int, ...]
-    mus: tuple[int, ...]
+    _compared = _shown = ("kind", "modulus", "lams", "mus")
+
+    def __init__(self, kind: str, modulus: int, lams: tuple[int, ...], mus: tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "lams", lams)
+        object.__setattr__(self, "mus", mus)
 
     @property
     def size(self) -> int:
@@ -106,11 +111,13 @@ def build_group(kind: str, m: int) -> GroupSpec:
     return GroupSpec(kind, m, (1, m - 1), tuple(range(0, m, 2) if m % 2 == 0 else range(m)))
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(Record):
     """The orbits as (representative values, size) pairs, sorted."""
 
-    orbits: tuple[tuple[tuple[int, ...], int], ...]
+    _compared = _shown = ("orbits",)
+
+    def __init__(self, orbits: tuple[tuple[tuple[int, ...], int], ...]):
+        object.__setattr__(self, "orbits", orbits)
 
     @property
     def class_count(self) -> int:
@@ -258,22 +265,29 @@ def predicted_class_count(kind: str, p: int, n: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     """Brute-force class counts compared against the closed forms, plus
     the same counts on move-derived variants of the diagram."""
 
-    label: str
-    p: int
-    nullity: int
-    aut_classes: int
-    inn_classes: int
-    predicted_aut: int
-    predicted_inn: int
-    aut_orbit_sizes: tuple[int, ...]
-    inn_orbit_sizes: tuple[int, ...]
-    invariant_across_moves: bool
-    failures: tuple[str, ...]
+    _compared = _shown = ("label", "p", "nullity", "aut_classes", "inn_classes",
+                          "predicted_aut", "predicted_inn", "aut_orbit_sizes",
+                          "inn_orbit_sizes", "invariant_across_moves", "failures")
+
+    def __init__(self, label: str, p: int, nullity: int, aut_classes: int, inn_classes: int,
+                 predicted_aut: int, predicted_inn: int, aut_orbit_sizes: tuple[int, ...],
+                 inn_orbit_sizes: tuple[int, ...], invariant_across_moves: bool,
+                 failures: tuple[str, ...]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "nullity", nullity)
+        object.__setattr__(self, "aut_classes", aut_classes)
+        object.__setattr__(self, "inn_classes", inn_classes)
+        object.__setattr__(self, "predicted_aut", predicted_aut)
+        object.__setattr__(self, "predicted_inn", predicted_inn)
+        object.__setattr__(self, "aut_orbit_sizes", aut_orbit_sizes)
+        object.__setattr__(self, "inn_orbit_sizes", inn_orbit_sizes)
+        object.__setattr__(self, "invariant_across_moves", invariant_across_moves)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def passed(self) -> bool:

@@ -395,13 +395,15 @@ class TestVerify:
         assert out1 == out2
 
     def test_failed_verification_exit_3(self, capsys, monkeypatch):
-        import dataclasses
         import foxcolor.cli as cli
         real = cli.orb.verify_counts
 
         def broken(*args, **kwargs):
-            return tuple(dataclasses.replace(report, failures=("injected mismatch",))
-                         for report in real(*args, **kwargs))
+            return tuple(cli.orb.VerifyReport(r.label, r.p, r.nullity, r.aut_classes,
+                                              r.inn_classes, r.predicted_aut, r.predicted_inn,
+                                              r.aut_orbit_sizes, r.inn_orbit_sizes,
+                                              r.invariant_across_moves, ("injected mismatch",))
+                         for r in real(*args, **kwargs))
 
         monkeypatch.setattr(cli.orb, "verify_counts", broken)
         code, out, _ = run(capsys, "verify", "4_1", "--primes", "5")

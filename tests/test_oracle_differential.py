@@ -9,14 +9,13 @@ factors and arc counts of their coloring matrices.
 """
 
 import itertools
-from dataclasses import replace
 from math import gcd
 
 import pytest
 from coloring_oracle import brute_force_colorings
 
 from foxcolor.coloring import Coloring, enumerate_colorings, profile
-from foxcolor.diagram import build_diagram, catalog, catalog_names, parse_pd
+from foxcolor.diagram import PlanarDiagram, build_diagram, catalog, catalog_names, parse_pd
 
 LINKS = {
     "hopf": ("[[2,4,3,1],[4,2,1,3]]", (2, 0), 2),
@@ -59,7 +58,7 @@ def test_search_tests_every_crossing(name):
     d = DIAGRAMS[name]
     rels = d.crossing_relations
     for system in (rels[1:], rels[:-1]):
-        reduced = replace(d, crossing_relations=system)
+        reduced = PlanarDiagram(d.pd, d.arcs, system)
         for m in MODULI:
             if m ** d.n_arcs <= 10 ** 4:
                 assert brute_force_colorings(reduced, m) == reference_colorings(reduced, m), m
