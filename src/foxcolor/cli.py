@@ -5,6 +5,11 @@ catalog names, literal PD codes, @file, or "-" for stdin.  Every verb
 takes --json for machine-readable output; exit codes are 0 success,
 1 input error, 2 enumeration budget exceeded, 3 verification failure.
 
+The --json text is json.dumps(payload, indent=2, sort_keys=True) byte for
+byte.  A verb with one large list (enumerate's words, classes' orbits,
+moves' crossings) names it and its shape, rows of ints or orbit records,
+and the writer joins that list's text as the verb built it.
+
 main runs a verb with the cyclic garbage collector paused and restores
 its state on every exit: no verb builds a reference cycle, so a
 collection would free nothing and only rescan the colorings that trip
@@ -18,7 +23,7 @@ import gc
 import json
 import sys
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -54,53 +59,33 @@ def _int_rows(rows, sep: str):
     return map(sep.join, map(map, repeat(_IntText().__getitem__), rows))
 
 
-class _IntRows(list):
-    """The words of a kernel walk (Colorings.words) as non-empty tuples of
-    plain ints, which the writer takes as such without scanning the type
-    of every entry."""
+def _items_json(bodies, out: list, indent: str, start: str, end: str) -> None:
+    """Append a non-empty list whose items are start + body + end, in one join."""
+    inner = "\n" + indent + "  "
+    out += ("[" + inner + start, (end + "," + inner + start).join(bodies), end + "\n" + indent + "]")
 
 
-class _IntRecords(list):
-    """Records of an orbit partition, whose representatives are not scanned."""
+def _rows_json(rows, out: list, indent: str) -> None:
+    """Append a non-empty list of non-empty rows of plain ints: the words
+    of a kernel walk (bytes, or int tuples above m = 256) or a diagram's
+    crossings, each written as a list."""
+    deeper = indent + "    "
+    _items_json(_int_rows(rows, ",\n" + deeper), out, indent, "[\n" + deeper,
+                "\n" + indent + "  ]")
 
 
-def _are_int_rows(rows) -> bool:
-    """Whether every item is a non-empty list or tuple of plain ints."""
-    return (set(map(type, rows)) <= {list, tuple} and all(rows)
-            and set(map(type, chain.from_iterable(rows))) == {int})
+def _orbits_json(orbits, out: list, indent: str) -> None:
+    """Append a non-empty list of an orbit partition's (representative,
+    size) pairs, each written as {"representative": [...], "size": n}."""
+    deeper = indent + "    "
+    bodies = map(f'{{}}\n{deeper}],\n{deeper}"size": {{}}'.format,
+                 _int_rows(map(itemgetter(0), orbits), ",\n" + deeper + "  "),
+                 map(itemgetter(1), orbits))
+    _items_json(bodies, out, indent, f'{{\n{deeper}"representative": [\n{deeper}  ',
+                "\n" + indent + "  }")
 
 
-def _record_bodies(obj, indent: str):
-    """The text between the braces of each record of a list, at this indent, or None.
-
-    Records are non-empty dicts that share one key set, each value a
-    plain int or a non-empty list or tuple of plain ints (the orbits
-    classes lists, an _IntRecords).  Each body is one join of a column at
-    a time: keys' text, ints' strings built once per distinct value, or
-    _int_rows, whose strings are built on first lookup.
-    """
-    keys = obj[0].keys()
-    if not keys or not all(map(keys.__eq__, map(dict.keys, obj))):
-        return None
-    deeper = indent + "  "
-    columns = []
-    sep = ""
-    for key in sorted(keys):
-        values = list(map(itemgetter(key), obj))
-        head = sep + encode_basestring_ascii(key) + ": "
-        sep = ",\n" + indent
-        if set(map(type, values)) == {int}:
-            text = {v: head + int.__repr__(v) for v in set(values)}
-            columns.append(map(text.__getitem__, values))
-        elif type(obj) is _IntRecords or _are_int_rows(values):
-            columns += (repeat(head + "[\n" + deeper), _int_rows(values, ",\n" + deeper),
-                        repeat("\n" + indent + "]"))
-        else:
-            return None
-    return map("".join, zip(*columns))
-
-
-def _json_parts(obj, out: list, indent: str) -> None:
+def _json_parts(obj, out: list, indent: str, key=None, shape=None) -> None:
     """Append the text of json.dumps(obj, indent=2, sort_keys=True) to out.
 
     With an indent, json.dumps runs its pure-Python encoder on every
@@ -108,41 +93,23 @@ def _json_parts(obj, out: list, indent: str) -> None:
     scalar is one C call: dict keys, which must be strings, through
     encode_basestring_ascii (what json.dumps does with a str), values of
     type exactly int (not bool) through int.__repr__, anything else
-    through json.dumps.  Three kinds of list are written in C, with no
-    call per item: a list of plain ints by one join; a list of non-empty
-    lists of plain ints (the words of the colorings enumerate lists, an
-    _IntRows whose entries are not scanned) as the rows of _int_rows; and
-    a list of records (the orbits classes lists) as the bodies of
-    _record_bodies.
-    Rows and bodies are joined by one string that closes one item and
-    opens the next.
+    through json.dumps; a list of plain ints is one join.  The value of
+    key in the dict obj, if it is a non-empty list, is written by shape.
     """
     if isinstance(obj, dict) and obj:
         inner = indent + "  "
         sep = "{\n" + inner
-        for key in sorted(obj):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_parts(obj[key], out, inner)
+        for k in sorted(obj):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            value = obj[k]
+            (shape if k == key and value else _json_parts)(value, out, inner)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
     elif isinstance(obj, (list, tuple)) and obj:
         inner = indent + "  "
-        deeper = inner + "  "
-        trusted = type(obj) is _IntRows
-        types = None if trusted else set(map(type, obj))
-        if types == {int}:
+        if set(map(type, obj)) == {int}:
             out += ("[\n" + inner, (",\n" + inner).join(map(int.__repr__, obj)),
                     "\n" + indent + "]")
-            return
-        bodies = None
-        if types == {dict}:
-            start, end, bodies = "{", "}", _record_bodies(obj, deeper)
-        elif trusted or _are_int_rows(obj):
-            start, end, bodies = "[", "]", _int_rows(obj, ",\n" + deeper)
-        if bodies is not None:
-            out += ("[\n" + inner + start + "\n" + deeper,
-                    ("\n" + inner + end + ",\n" + inner + start + "\n" + deeper).join(bodies),
-                    "\n" + inner + end + "\n" + indent + "]")
             return
         sep = "[\n" + inner
         for item in obj:
@@ -156,9 +123,17 @@ def _json_parts(obj, out: list, indent: str) -> None:
         out.append(json.dumps(obj))
 
 
-def _emit_json(payload) -> None:
+def _emit_json(payload, key: str | None = None, shape=None) -> None:
+    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline.
+
+    A verb names its one large list, payload[key], and that list's shape:
+    _rows_json for rows of plain ints (enumerate's words, moves'
+    crossings) or _orbits_json for classes' orbits.  The list is written
+    as it stands, one join of its items' texts, with no scan of their
+    types and no list or dict built per item.
+    """
     out: list[str] = []
-    _json_parts(payload, out, "")
+    _json_parts(payload, out, "", key, shape)
     out.append("\n")
     sys.stdout.write("".join(out))
 
@@ -259,10 +234,10 @@ def cmd_classes(args) -> int:
         "group": group.kind,
         "nontrivial": len(nontrivial),
         "class_count": part.class_count,
-        "orbits": _IntRecords({"size": size, "representative": rep} for rep, size in part.orbits),
+        "orbits": part.orbits,
     }
     if args.json:
-        _emit_json(payload)
+        _emit_json(payload, "orbits", _orbits_json)
         return EXIT_OK
     print(f"{label}  mod {args.mod}  group {group.kind}")
     print(f"non-trivial colorings: {len(nontrivial)}")
@@ -270,8 +245,9 @@ def cmd_classes(args) -> int:
     if part.orbits:
         print(f"arcs: {_arc_header(d)}")
         print("class  size  representative")
-        for i, (rep, size) in enumerate(part.orbits, 1):
-            print(f"{i:<5}  {size:<4}  {' '.join(map(str, rep))}")
+        rows = _int_rows(map(itemgetter(0), part.orbits), " ")
+        sys.stdout.write("".join(map("{:<5}  {:<4}  {}\n".format, count(1),
+                                     map(itemgetter(1), part.orbits), rows)))
     return EXIT_OK
 
 
@@ -288,10 +264,10 @@ def cmd_enumerate(args) -> int:
         "mod": args.mod,
         "nontrivial_only": not args.all,
         "count": len(colorings),
-        "colorings": _IntRows(map(tuple, colorings.words)),
+        "colorings": colorings.words,
     }
     if args.json:
-        _emit_json(payload)
+        _emit_json(payload, "colorings", _rows_json)
         return EXIT_OK
     print(f"{label}  mod {args.mod}  {'all' if args.all else 'non-trivial'} colorings: {len(colorings)}")
     if colorings:
@@ -363,7 +339,7 @@ def cmd_moves(args) -> int:
             pd = dia.apply_move_pd(pd, site)
             applied.append(f"{site.kind}:{','.join(map(str, site.edges))}")
     if args.json:
-        _emit_json(pd.to_json_dict())
+        _emit_json(pd.to_json_dict(), "crossings", _rows_json)
         return EXIT_OK
     print(f"applied: {'; '.join(applied) if applied else '(none)'}")
     print(f"crossings: {pd.n_crossings}  arcs: {dia.build_diagram(pd).n_arcs}")

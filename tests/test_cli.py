@@ -14,8 +14,8 @@ import pytest
 import foxcolor
 from foxcolor import cli, orbits
 from foxcolor.cli import main
-from foxcolor.coloring import Colorings, enumerate_colorings
-from foxcolor.diagram import build_diagram, catalog, parse_pd
+from foxcolor.coloring import Colorings
+from foxcolor.diagram import parse_pd
 
 TREFOIL = "[[1,4,2,5],[3,6,4,1],[5,2,6,3]]"
 # sha256 of stdout before the crossing-free unknot went through the
@@ -69,6 +69,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def as_json(items, shape):
+    """A verb's large list as json.dumps would take it: each row a list of
+    ints, each orbit a {"representative", "size"} dict."""
+    if shape is cli._rows_json:
+        return [list(row) for row in items]
+    assert shape is cli._orbits_json
+    return [{"representative": list(rep), "size": size} for rep, size in items]
 
 
 class TestAnalyze:
@@ -487,21 +496,29 @@ class TestJsonRoundTrip:
         ("classes", "3_1", "--mod", "5", "--json"),
         ("verify", "9_40", "--primes", "3,5", "--json"),
         ("moves", "4_1", "--random", "3", "--json"),
+        ("enumerate", "3_1", "--mod", "5", "--json"),  # an empty list
+        ("enumerate", "3_1", "--mod", "255", "--json"),  # bytes words from 2-byte lanes
+        ("enumerate", "3_1", "--mod", "261", "--all", "--json"),  # tuple words
+        ("classes", "9_40", "--mod", "300", "--group", "inn", "--json"),  # tuple representatives
+        ("moves", "9_40", "--random", "50", "--seed", "7", "--json"),
     ])
     def test_byte_identical_regeneration(self, capsys, monkeypatch, argv):
         # compared with the payload the verb built, not with re-parsed output,
-        # so a value the writer changed (a bool written as an int) shows too
-        payloads = []
+        # so a value the writer changed (a bool written as an int) shows too;
+        # the large list the verb names is put in its JSON form first
+        calls = []
         emit = cli._emit_json
 
-        def recording_emit(payload):
-            payloads.append(payload)
-            emit(payload)
+        def recording_emit(payload, key=None, shape=None):
+            calls.append((payload, key, shape))
+            emit(payload, key, shape)
 
         monkeypatch.setattr(cli, "_emit_json", recording_emit)
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        [payload] = payloads
+        [(payload, key, shape)] = calls
+        if key is not None:
+            payload = {**payload, key: as_json(payload[key], shape)}
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -541,68 +558,26 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("rows", [
         [], [(0,)], [(0, 0, 0), (2, 1, 0)], [(7,), (7,)], [(3, 3, 3), (3, 3)],
-        [(-1, -(2 ** 70), 0), (2 ** 64 + 1, 5)],
+        [(-1, -(2 ** 70), 0), (2 ** 64 + 1, 5)], [b"\x00\x02\x01", b"\xff\x00\x00"],
     ])
     def test_trusted_int_rows(self, capsys, rows):
-        # the walk's rows skip the type scan and must still give json.dumps' bytes
-        obj = {"colorings": cli._IntRows(rows), "count": len(rows)}
-        cli._emit_json(obj)
-        expected = json.dumps({"colorings": rows, "count": len(rows)}, indent=2, sort_keys=True)
-        assert capsys.readouterr().out == expected + "\n"
-
-    @pytest.mark.parametrize("records", [
-        [], [{"size": 6, "representative": (0,)}],
-        [{"size": 6, "representative": (0, 0, 1)}, {"size": 6, "representative": (0, 1, 1)}],
-        [{"size": 2 ** 65, "representative": (-1, -(2 ** 70), 0)},
-         {"size": -3, "representative": (2 ** 64 + 1, 5)}],
-    ])
-    def test_trusted_records(self, capsys, records):
-        # the partition's representatives skip the type scan and must still
-        # give json.dumps' bytes
-        obj = {"class_count": len(records), "orbits": cli._IntRecords(records)}
-        cli._emit_json(obj)
-        expected = json.dumps({"class_count": len(records), "orbits": records},
+        # the walk's rows are written as they stand, with no scan of their entries
+        cli._emit_json({"colorings": rows, "count": len(rows)}, "colorings", cli._rows_json)
+        expected = json.dumps({"colorings": as_json(rows, cli._rows_json), "count": len(rows)},
                               indent=2, sort_keys=True)
         assert capsys.readouterr().out == expected + "\n"
 
-    @pytest.mark.parametrize("m, kind", [(15, orbits.AUT), (300, orbits.INN)])
-    def test_classes_representatives_are_trusted(self, capsys, monkeypatch, m, kind):
-        def no_scan(rows):
-            raise AssertionError("the representatives were scanned")
-
-        nontrivial = enumerate_colorings(build_diagram(catalog("9_40")), m, nontrivial_only=True)
-        part = orbits.orbit_partition(nontrivial, orbits.build_group(kind, m))
-        monkeypatch.setattr(cli, "_are_int_rows", no_scan)
-        code, out, _ = run(capsys, "classes", "9_40", "--mod", str(m), "--group", kind, "--json")
-        assert code == 0
-        assert json.loads(out)["orbits"] == [{"size": size, "representative": list(rep)}
-                                             for rep, size in part.orbits]
-        assert len(part.orbits) > 1
-
-    def test_moves_crossings_are_scanned(self, capsys, monkeypatch):
-        # crossings are rows the writer did not build, and are still checked
-        scanned = []
-        are_int_rows = cli._are_int_rows
-
-        def recording(rows):
-            scanned.append(rows)
-            return are_int_rows(rows)
-
-        monkeypatch.setattr(cli, "_are_int_rows", recording)
-        code, out, _ = run(capsys, "moves", "3_1", "--site", "R1_insert:1", "--json")
-        assert code == 0
-        assert json.loads(out)["crossings"] in [list(map(list, rows)) for rows in scanned]
-
-    def test_enumerate_rows_are_trusted(self, capsys, monkeypatch):
-        def no_scan(rows):
-            raise AssertionError("the walk's rows were scanned")
-
-        monkeypatch.setattr(cli, "_are_int_rows", no_scan)
-        code, out, _ = run(capsys, "enumerate", "4_1", "--mod", "5", "--all", "--json")
-        assert code == 0
-        walk = enumerate_colorings(build_diagram(catalog("4_1")), 5)
-        assert json.loads(out)["colorings"] == [list(c.values) for c in walk]
-        assert len(walk) == 25
+    @pytest.mark.parametrize("records", [
+        (), (((0,), 6),), (((0, 0, 1), 6), ((0, 1, 1), 6)),
+        (((-1, -(2 ** 70), 0), 2 ** 65), ((2 ** 64 + 1, 5), -3)), ((b"\x00\x01", 2),),
+    ])
+    def test_trusted_records(self, capsys, records):
+        # the partition's (representative, size) pairs are written as records
+        cli._emit_json({"class_count": len(records), "orbits": records}, "orbits", cli._orbits_json)
+        expected = json.dumps({"class_count": len(records),
+                               "orbits": as_json(records, cli._orbits_json)},
+                              indent=2, sort_keys=True)
+        assert capsys.readouterr().out == expected + "\n"
 
 
 class TestCollectorPause:
