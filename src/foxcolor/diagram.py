@@ -18,21 +18,23 @@ system.
 The crossing-free unknot cannot be written as a PD code; it is admitted
 through the special token "unknot": a single arc, frozenset(), no edge.
 
-Reidemeister moves rewrite PD codes (apply_move_pd).  A move finds an
-edge as its two slots, the first by one index over the labels and the
-second through mates, reads the crossings at those slots and relabels
-slots.  The result is renumbered (_renumber) by label ranks from the
-same slot sort, the move's only label check.  A move that keeps every
-slot in place (insertions, R3) re-traces only the faces through slots
-whose mate changed and carries over its input's component count; the
-genus check reads these counts.  A PdCode keeps its faces, so choosing a
-move site reads them without tracing again.  A PlanarDiagram (arcs and
-relations) is built only where it is read: apply_move builds one per
-move, random_variants one per variant.
+Reidemeister moves rewrite PD codes in two steps.  The move (_move_pd)
+finds an edge as its two slots, the first by one index over the labels
+and the second through mates, reads the crossings at those slots and
+relabels slots; its one slot sort checks the labels, which a deletion
+then compacts to 1..E as parse_pd does.  A move that keeps every slot
+in place (insertions, R3) re-traces only the faces through slots whose
+mate changed and carries over its input's component count; the genus
+check reads these counts.  The canonical renumbering (_renumber), last,
+walks that slot pairing breadth-first and moves no slot.  apply_move_pd
+takes both steps, and verify_counts the move alone; a PlanarDiagram is
+built only where it is read, once per move (apply_move) or variant.  A
+PdCode keeps its faces, so choosing a move site reads them untraced.
 
 PdCode, PlanarDiagram and MoveSite are immutable records (see the record
-module) whose __init__ runs their checks.  Only random_variants imports
-random, as the moves verb does, so importing the package leaves it out.
+module) whose __init__ runs their checks.  random is imported only where
+moves are drawn (random_variants, verify's variants and the moves verb),
+so importing the package leaves it out.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class PdCode(Record):
                     if not _is_label(e) or e < 1:
                         raise PdError(f"edge label {e!r} is not a positive integer")
             labels = list(chain.from_iterable(quads))
-        _, labels, mates = _sorted_slots(labels)
+        labels, mates = _sorted_slots(labels)
         if labels and labels[-1] != len(labels):  # E distinct labels >= 1 are 1..E iff max is E
             raise PdError("edge labels must form 1..E with no gaps")
         vars(self)["mates"] = mates
@@ -141,10 +143,8 @@ class PdCode(Record):
 
 def _code(crossings, mates, **known) -> PdCode:
     """PdCode(crossings) from a caller that has checked its labels and
-    paired its slots; only the planarity check runs.  mates is stored as
-    __post_init__ stores it, and whatever else the caller knows (faces,
-    components) seeds the cached properties.
-    """
+    paired its slots; only the planarity check runs.  Whatever else the
+    caller knows (faces, components) seeds the cached properties."""
     pd = object.__new__(PdCode)
     object.__setattr__(pd, "crossings", crossings)
     vars(pd).update(known, mates=mates)
@@ -162,7 +162,7 @@ def _label_counts(labels) -> Counter:
 
 
 def _sorted_slots(flat):
-    """Slots sorted by label, the labels in ascending order, and the mates.
+    """The labels in ascending order, and the mates, from the slots sorted by label.
 
     Slot s holds flat[s].  The sort is stable, so each label's two slots
     sit side by side, the lower first: pair k holds the k-th smallest
@@ -176,7 +176,7 @@ def _sorted_slots(flat):
     mates = [0] * len(flat)
     for s, t in zip(slots[0::2], slots[1::2]):
         mates[s], mates[t] = t, s
-    return slots, paired[0::2], tuple(mates)
+    return paired[0::2], tuple(mates)
 
 
 def _faces(mate) -> tuple[tuple[int, ...], ...]:
@@ -269,13 +269,19 @@ def parse_pd(text: str) -> PdCode:
             if not isinstance(item, list) or len(item) != 4 or not all(map(_is_label, item)):
                 raise PdError(f"crossing {item!r} is not a quadruple of integers")
             quads.append(tuple(item))
+    return _code(*_compact(quads))
+
+
+def _compact(quads):
+    """quads as a tuple, relabeled to 1..E in label order unless already 1..E,
+    and its mates; the slot sort runs first, so errors name the labels of quads."""
     flat = list(chain.from_iterable(quads))
-    _, labels, mates = _sorted_slots(flat)  # before relabeling, so errors name the input's labels
-    if labels[0] != 1 or labels[-1] != len(labels):  # not already 1..E
+    labels, mates = _sorted_slots(flat)
+    if labels != list(range(1, len(labels) + 1)):
         relabel = dict(zip(labels, count(1)))
         flat = map(relabel.__getitem__, flat)
         quads = zip(flat, flat, flat, flat)
-    return _code(tuple(quads), mates)
+    return tuple(quads), mates
 
 
 class PlanarDiagram(Record):
@@ -375,8 +381,14 @@ def apply_move(d: PlanarDiagram, site: MoveSite) -> PlanarDiagram:
 
 
 def apply_move_pd(pd: PdCode, site: MoveSite) -> PdCode:
-    """apply_move on the code alone: the move, renumbering and validation,
-    without building the diagram.
+    """apply_move on the code alone: the move (_move_pd), then its renumbering (_renumber)."""
+    return _renumber(_move_pd(pd, site))
+
+
+def _move_pd(pd: PdCode, site: MoveSite) -> PdCode:
+    """The move and its checks, with the labels the move writes: pd's,
+    the new ones above them, and after a deletion those relabeled to 1..E
+    in their order (_compact).
 
     A result with no fewer crossings keeps pd's slots in place.  A face of
     pd whose slots all kept their mates is still a face, and every other
@@ -388,16 +400,20 @@ def apply_move_pd(pd: PdCode, site: MoveSite) -> PdCode:
     most = 2 if site.kind == R2_INSERT else 1
     if len(site.edges) > most:
         raise MoveError(f"{site.kind} takes {most} edge{'s' * (most > 1)}, not {len(site.edges)}")
-    crossings, mates = _renumber(_MOVE_HANDLERS[site.kind](pd, site))
+    crossings, mates = _compact(_MOVE_HANDLERS[site.kind](pd, site))
     if not pd.crossings or len(crossings) < len(pd.crossings):
         return _code(crossings, mates)
     changed = set(compress(count(), map(ne, pd.mates, mates)))
     changed.update(range(len(pd.mates), len(mates)))
     faces = list(filter(changed.isdisjoint, pd.faces))
-    for face in _trace(mates, changed):  # each turned to start at its least slot
-        least = face.index(min(face))
-        faces.append(face[least:] + face[:least])
+    faces += map(_turned, _trace(mates, changed))
     return _code(crossings, mates, faces=tuple(sorted(faces)), components=pd.components)
+
+
+def _turned(face):
+    """face turned to start at its least slot, as _faces lists it."""
+    least = face.index(min(face))
+    return face[least:] + face[:least]
 
 
 def _ends(flat, mates, edge) -> tuple[int, int]:
@@ -461,11 +477,12 @@ def _r2_insert(pd: PdCode, site: MoveSite):
     if x == y:
         raise MoveError("R2_insert needs two distinct edges")
     flat, mates = list(chain.from_iterable(pd.crossings)), pd.mates
-    _ends(flat, mates, x)
+    s, t = _ends(flat, mates, x)
     _ends(flat, mates, y)
-    for face in pd.faces:
+    # the faces holding x are those through its slots, in pd.faces order
+    for face in sorted(map(_turned, _trace(mates, (s, t)))):
         labels = list(map(flat.__getitem__, face))
-        if x in labels and y in labels:
+        if y in labels:
             break
     else:
         raise MoveError(f"edges {x} and {y} share no face, so no R2 move joins them")
@@ -520,22 +537,15 @@ def _delete_crossings(quads, drop: set[int], joins):
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    kept = [list(q) for ci, q in enumerate(quads) if ci not in drop]
-    outside: dict[int, int] = {}
-    for q in kept:
-        for e in q:
-            outside[e] = outside.get(e, 0) + 1
+    kept = [q for ci, q in enumerate(quads) if ci not in drop]
+    outside = Counter(chain.from_iterable(kept))
 
-    classes: dict[int, list[int]] = {}
+    live = Counter()  # kept ends of each class
     for e in parent:
-        classes.setdefault(find(e), []).append(e)
-    vanished = 0
-    for members in classes.values():
-        live = sum(outside.get(e, 0) for e in members)
-        if live == 0:
-            vanished += 1
-        elif live != 2:
-            raise MoveError("move would leave an inconsistent diagram")
+        live[find(e)] += outside[e]
+    if set(live.values()) - {0, 2}:
+        raise MoveError("move would leave an inconsistent diagram")
+    vanished = list(live.values()).count(0)
     if not kept:
         if vanished == 1:
             return []
@@ -588,57 +598,44 @@ def _r3(pd: PdCode, site: MoveSite):
     raise MoveError(f"no triangular face completes an R3 move at edge {t}")
 
 
-def _renumber(quads):
-    """Canonical relabeling 1..E, and the slot pairing of the result.
+def _renumber(pd: PdCode) -> PdCode:
+    """Canonical relabeling of pd to 1..E.
 
-    Breadth-first from the lowest label: a label's neighbors, the labels
-    of its crossings, are numbered in ascending order; each crossing adds
-    them once, when first visited.  One stable sort of the slots by label
-    puts each label's two slots side by side, so pair k holds the slots
-    of the k-th smallest label, the crossings of that label are
-    slot >> 2 of its two slots, and the walk runs on ranks through lists.
-    Relabeling moves no slot, so the pairing is also that of the result.
-    Raises PdError unless every label occurs exactly twice.
+    Breadth-first from label 1: a label's neighbors, the labels of its
+    crossings, are numbered in ascending order; each crossing adds them
+    once, when first visited.  A label's crossings are those of a slot of
+    it and of that slot's mate, so pd's slot pairing serves the walk and
+    no slot is sorted again.  Relabeling moves no slot, so pd's mates,
+    faces and component count are those of the result.
     """
-    if not quads:
-        return (), ()
+    quads, mates = pd.crossings, pd.mates
     flat = list(chain.from_iterable(quads))
-    slots, labels, mates = _sorted_slots(flat)
-    firsts, seconds = slots[0::2], slots[1::2]
-    rank = [0] * len(flat)
-    for k, s, t in zip(count(), firsts, seconds):
-        rank[s] = rank[t] = k
-    ends = iter(rank)
-    near = list(map(sorted, zip(ends, ends, ends, ends)))  # each crossing's ranks, sorted once
+    slot = dict(zip(flat, count()))  # the later slot of each label
+    near = list(map(sorted, quads))  # each crossing's labels, sorted once
     open_crossings = [True] * len(quads)
-    new = [0] * len(labels)  # new label by rank, 0 while unnumbered
-    numbered = start = 0
-    while numbered < len(new):
+    new = [0] * (len(flat) // 2 + 1)  # new label by label, 0 while unnumbered
+    numbered, start = 0, 1
+    while numbered < len(flat) // 2:
         start = new.index(0, start)
         numbered += 1
         new[start] = numbered
         queue = [start]
-        for k in queue:  # the queue grows as it is read: breadth-first
-            a, b = firsts[k] >> 2, seconds[k] >> 2
-            if open_crossings[a]:
-                open_crossings[a] = False
-                if open_crossings[b]:  # a != b: a kink edge's crossing is closed now
-                    open_crossings[b] = False
-                    ranks = sorted(near[a] + near[b])
-                else:
-                    ranks = near[a]
-            elif open_crossings[b]:
-                open_crossings[b] = False
-                ranks = near[b]
-            else:
-                continue
-            for j in ranks:
+        for e in queue:  # the queue grows as it is read: breadth-first
+            s = slot[e]
+            a, b = s >> 2, mates[s] >> 2  # a == b for a kink's loop
+            labels = near[a] if open_crossings[a] else near[b] if open_crossings[b] else ()
+            if open_crossings[a] and open_crossings[b] and a != b:  # a component's start
+                labels = sorted(near[a] + near[b])
+            open_crossings[a] = open_crossings[b] = False
+            for j in labels:
                 if not new[j]:
                     numbered += 1
                     new[j] = numbered
                     queue.append(j)
-    relabeled = map(new.__getitem__, rank)
-    return tuple(zip(relabeled, relabeled, relabeled, relabeled)), mates
+    relabeled = map(new.__getitem__, flat)
+    code = object.__new__(PdCode)  # planar, as pd is: no check runs
+    vars(code).update(vars(pd), crossings=tuple(zip(relabeled, relabeled, relabeled, relabeled)))
+    return code
 
 
 _MOVE_HANDLERS = {

@@ -17,10 +17,11 @@ freely.  orbit_partition works through the quotient: each orbit is |M|
 translates of one orbit of the multipliers lam on the slice, the
 colorings whose arc 0 lies in range(m / |M|).  The classes command runs
 it at every modulus on the words of the unit_kernel walk.  verify_counts
-keeps it as the independent brute-force check for primes, on the words
-of the block_kernel walk: the colors on the arcs no unit pivot took.
-They fix the coloring, are constant just when it is, and commute with
-every arcwise map, so orbit counts and sizes are those of the colorings.
+keeps it as the independent brute-force check for primes on the diagram
+and on variants that chain the moves alone (_variants), on the words of
+the block_kernel walk: the colors on the arcs no unit pivot took.  They
+fix the coloring, are constant just when it is, and commute with every
+arcwise map, so orbit counts and sizes are those of the colorings.
 At an odd prime the action is free, and prime_classes lists the sorted
 orbit representatives from the reduced echelon basis of the kernel over
 F_p, without listing the colorings or building the group.
@@ -38,7 +39,7 @@ from math import gcd
 from operator import attrgetter
 
 from .coloring import Coloring, ColoringProfile, ENUMERATION_BUDGET, is_odd_prime, profile
-from .diagram import PlanarDiagram, random_variants
+from .diagram import PlanarDiagram, _move_pd, build_diagram, random_move_site_pd
 from .linalg import IntegerMatrix, ModularKernel, _rref_mod_p, block_kernel, unit_kernel
 from .record import Record
 
@@ -316,11 +317,12 @@ def verify_counts(d: PlanarDiagram, primes: Sequence[int], *, label: str = "diag
     stability across seeded variants of the diagram, VARIANT_MOVES R1/R2
     moves each, for each prime.
 
-    Every prime is validated before any work.  The variants are built
-    once and the diagram and each variant are decomposed once, by
-    `profile`; every prime reads its nullity and its colorings from those
-    profiles, the colorings as the words of walk(block_kernel, p), a few
-    bytes each: no pivot row is read (see the module).
+    Every prime is validated before any work.  The variants keep the
+    labels their moves write (_variants), each built once, and the
+    diagram and each variant are decomposed once, by `profile`; every
+    prime reads its nullity and its colorings from those profiles, the
+    colorings as the words of walk(block_kernel, p), a few bytes each: no
+    pivot row is read (see the module).
     Returns one report per prime, in the order given.  Diagrams without
     non-trivial p-colorings (nullity < 2) verify vacuously with zero
     classes, and a prime at which neither the diagram nor any variant has
@@ -331,8 +333,19 @@ def verify_counts(d: PlanarDiagram, primes: Sequence[int], *, label: str = "diag
         if not is_odd_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
     base = profile(d)
-    others = [profile(v) for v in random_variants(d, variants, VARIANT_MOVES, seed)]
+    others = [profile(v) for v in _variants(d, variants, VARIANT_MOVES, seed)]
     return tuple(_verify_prime(base, others, p, label, budget) for p in primes)
+
+
+def _variants(d: PlanarDiagram, count: int, moves: int, seed: int):
+    """random_variants' chain on the labels its moves write (_move_pd), unrenumbered."""
+    import random  # only here, as in random_variants
+    rng = random.Random(seed)
+    for _ in range(count):
+        pd = d.pd
+        for _ in range(moves):
+            pd = _move_pd(pd, random_move_site_pd(pd, rng))
+        yield build_diagram(pd)
 
 
 def _verify_prime(base: ColoringProfile, others, p: int, label: str,

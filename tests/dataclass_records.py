@@ -50,7 +50,7 @@ class PdCode:
                     if not _is_label(e) or e < 1:
                         raise PdError(f"edge label {e!r} is not a positive integer")
             labels = list(chain.from_iterable(quads))
-        _, labels, mates = _sorted_slots(labels)
+        labels, mates = _sorted_slots(labels)
         if labels and labels[-1] != len(labels):  # E distinct labels >= 1 are 1..E iff max is E
             raise PdError("edge labels must form 1..E with no gaps")
         vars(self)["mates"] = mates

@@ -3,8 +3,8 @@
 Counters wrap the builders: groups and their bytes.translate tables once per
 prime, and only for a prime with non-trivial colorings, faces and the
 slot pairing at most once per PD code (a move that keeps its input's
-slots traces no faces in full and counts no labels), one diagram per
-variant, one Smith form
+slots traces no faces in full and counts no labels, and verify's moves
+renumber nothing), one diagram per variant, one Smith form
 per profile however often generating_arcs and extend_coloring read it,
 and the reference Smith elimination of the whole matrix only where a
 verb lists colorings in its order, with no more of its transform than
@@ -117,7 +117,7 @@ def test_faces_once_per_code(monkeypatch):
 
 
 def test_slots_paired_once_per_code(monkeypatch):
-    # a move hands its renumbering's slot pairing to the new code, and
+    # a move hands its slot sort's pairing to the new code, and
     # parse_pd and PdCode pair the slots as they count the labels
     calls = Counter()
     for name in ("_sorted_slots", "_label_counts"):
@@ -126,7 +126,7 @@ def test_slots_paired_once_per_code(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(dia, name, counted)
     variants = random_variants(KNOT_9_40, 3, 7, seed=11)
-    # _renumber's slot sort is a move result's only label check
+    # the move's slot sort is a move result's only label check
     assert calls == {"_sorted_slots": 3 * 7}
     codes = [v.pd for v in variants] + [catalog("3_1")]
     texts = [str(v.pd) for v in variants] + ["[[2,8,4,10],[6,12,8,2],[10,4,12,6]]"]
@@ -148,6 +148,27 @@ def test_one_diagram_per_variant(monkeypatch):
     monkeypatch.setattr(dia, "build_diagram", counted)
     variants = random_variants(KNOT_9_40, 4, 5, seed=3)
     assert builds == [v.pd for v in variants]
+
+
+def test_verify_moves_without_renumbering(monkeypatch):
+    # verify's variants take one slot sort per move and no canonical
+    # renumbering, build one diagram each, and every diagram one Smith form
+    calls = Counter()
+
+    def counting_calls(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((dia, "_sorted_slots"), (dia, "_renumber"), (orbits, "build_diagram"),
+                         (dia, "build_diagram"), (col, "smith_normal_form")):
+        counting_calls(module, name)
+    reports = verify_counts(KNOT_9_40, (3, 5, 7, 11), variants=3)
+    assert all(r.passed for r in reports)
+    assert calls == {"_sorted_slots": 9, "build_diagram": 3, "smith_normal_form": 4}
 
 
 def test_cached_faces_keep_identity():

@@ -8,8 +8,8 @@ variants, braid closures of up to 2 000 crossings from the benchmark's
 generator, and codes labelled from 0 or from negative numbers, the new
 code must give the same codes, arcs, relations, canonical labels and
 matrices, and parse_pd the same error messages.  The slot pairing that
-_renumber hands to the moved code's check must be _mates of the result,
-on every move kind; the faces and component count a move updates or
+a move's one slot sort hands to the moved code must be _mates of the
+result, on every move kind; the faces and component count a move updates or
 carries over must equal a full trace of the result, which must be planar.
 """
 
@@ -25,8 +25,8 @@ import pytest
 from foxcolor.coloring import coloring_matrix
 from foxcolor.diagram import (_MOVE_HANDLERS, MOVE_KINDS, R1_DELETE, R1_INSERT, R2_DELETE,
                               R2_INSERT, R3, MoveError, MoveSite, PdCode, PdError, PlanarDiagram,
-                              _components, _faces, _genus, _is_label, _label_counts,
-                              _renumber, apply_move_pd,
+                              _code, _compact, _components, _faces, _genus, _is_label,
+                              _label_counts, _renumber, apply_move_pd,
                               build_diagram, catalog, catalog_names, parse_pd,
                               random_move_site_pd, random_variants)
 from foxcolor.linalg import IntegerMatrix
@@ -220,12 +220,10 @@ def checked_move(pd: PdCode, site: MoveSite) -> PdCode:
     pairing, faces and component count it carried against _mates, _faces
     and _components of the result, and a full genus trace of the result."""
     raw = _MOVE_HANDLERS[site.kind](pd, site)
-    crossings, mates = _renumber(raw)
-    assert crossings == reference_renumber(raw)
     moved = apply_move_pd(pd, site)
-    assert moved.crossings == crossings and moved.mates == mates
-    fresh = _mates(crossings)
-    assert mates == fresh and moved.faces == _faces(fresh)
+    assert moved.crossings == reference_renumber(raw)
+    fresh = _mates(moved.crossings)
+    assert moved.mates == fresh and moved.faces == _faces(fresh)
     assert moved.components == _components(fresh)
     assert _genus(fresh, _faces(fresh)) == 0
     return moved
@@ -239,9 +237,9 @@ def test_renumber(name):
     image = rng.sample(range(-3 * len(labels), 3 * len(labels)), len(labels))
     scatter = dict(zip(labels, image))
     scattered = [tuple(map(scatter.get, q)) for q in quads]
-    crossings, mates = _renumber(scattered)
-    assert crossings == reference_renumber(scattered)
-    assert mates == _mates(crossings) == _mates(scattered)
+    renumbered = _renumber(_code(*_compact(scattered)))
+    assert renumbered.crossings == reference_renumber(scattered)
+    assert renumbered.mates == _mates(renumbered.crossings) == _mates(scattered)
     # the codes the move handlers hand over, before renumbering
     if len(quads) <= 400:
         pd = PdCode(quads)
@@ -313,7 +311,7 @@ def test_a_slot_keeping_move_to_a_non_planar_code_raises(monkeypatch, raw):
     monkeypatch.setitem(_MOVE_HANDLERS, R1_INSERT, lambda pd, site: list(raw))
     with pytest.raises(PdError, match="needs a surface of genus 1"):
         apply_move_pd(catalog("3_1"), MoveSite(R1_INSERT, (1,)))
-    crossings, mates = _renumber(raw)
+    _, mates = _compact(raw)
     assert _genus(mates, _faces(mates)) == 1
 
 

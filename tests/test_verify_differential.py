@@ -3,7 +3,9 @@
 The reference below is the earlier `verify_counts`: one call per prime,
 rebuilding the seeded variants and decomposing every diagram for each
 prime.  The shared-profile version must return the same reports, field
-for field, while computing one Smith form per diagram.
+for field, while computing one Smith form per diagram.  Its variants
+keep the labels their moves write, so they are other diagrams than the
+reference's random_variants; the reports agree while every check passes.
 """
 
 import sys
@@ -88,8 +90,10 @@ def test_same_failures_as_reference(monkeypatch):
     def off_by_one(kind, p, n):
         return real_prediction(kind, p, n) + 1
 
+    # verify draws its variants through orbits._variants, the reference through random_variants
+    monkeypatch.setattr(orbits, "_variants", other_knots)
+    monkeypatch.setattr(sys.modules[__name__], "random_variants", other_knots)
     for module in (orbits, sys.modules[__name__]):
-        monkeypatch.setattr(module, "random_variants", other_knots)
         monkeypatch.setattr(module, "predicted_class_count", off_by_one)
     d = KNOTS["9_40"]
     got = verify_counts(d, (3, 5, 7), label="9_40", variants=3)
